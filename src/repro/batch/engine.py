@@ -59,7 +59,6 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, MissionResult, run_mission
 from repro.core.packets import PacketType
 from repro.env.camera import encode_image_u8
-from repro.env.geometry import angle_difference
 from repro.env.physics import CollisionEvent
 from repro.env.simulator import TrajectorySample
 from repro.errors import TransportError, WatchdogError
@@ -134,13 +133,6 @@ class BatchEngine:
         arrays = self.world.centerline_arrays
         #: Per-segment left normals, for the signed-offset dot products.
         self._normals = np.column_stack([-arrays.units[:, 1], arrays.units[:, 0]])
-        #: Cached per-lane ``(s, d, heading_error)`` of the *current* lane
-        #: pose — serial ``course_state`` recomputes it from scratch for
-        #: every camera response and every synchronizer log row, which was
-        #: the largest per-lane cost left in the batched path.  The cache
-        #: is refreshed from the (bit-exact) batch arrays at the end of
-        #: every frame advance.
-        self._course: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * k
 
         for lane in self.lanes:  # repro: allow[PERF001] one-time per-lane wiring
             st = lane.cosim.env.dynamics.state
@@ -149,7 +141,6 @@ class BatchEngine:
             self.dyn.y[i] = st.y
             self.dyn.z[i] = st.z
             self.dyn.yaw[i] = st.yaw
-            self._course[i] = lane.cosim.env.course_state()
             self._install_shims(lane)
 
     # ------------------------------------------------------------------
@@ -174,13 +165,8 @@ class BatchEngine:
             lane.advance_token = False
             return lane.cosim.env.frame
 
-        def get_course_state() -> dict[str, float]:
-            s, d, heading_error = self._course[lane.index]
-            return {"s": s, "d": d, "heading_error": heading_error}
-
         handlers["get_camera_image"] = get_camera_image
         handlers["continue_for_frames"] = continue_for_frames
-        handlers["get_course_state"] = get_course_state
 
     # ------------------------------------------------------------------
     def run(self) -> list[MissionResult]:
@@ -240,15 +226,15 @@ class BatchEngine:
     # -- phase 2: batched camera pre-render ----------------------------
     def _pre_render(self, active: list[_Lane], max_requests: int) -> None:
         requesting = [lane for lane in active if lane.pending_camera_requests > 0]
-        noise_sigma = self.camera.params.texture_noise
         metadata: dict[int, tuple[float, float, float]] = {}
         cnn_items: list[tuple[BatchedCnnPerception, bytes, int, int]] = []
         for lane in requesting:  # repro: allow[PERF001] per-lane metadata lookup
-            # Pre-advance ground-truth metadata: the cached course state
-            # (post-advance of the previous round == pre-advance of this
-            # one; the initial values were computed at engine start).
-            _s, d, heading_error = self._course[lane.index]
-            metadata[lane.index] = (lane.cosim.env.sim_time, heading_error, d)
+            # Pre-advance ground-truth metadata, from the lane env's
+            # course-state cache (written back at the end of the
+            # previous round's advance).
+            env = lane.cosim.env
+            _s, d, heading_error = env.course_state()
+            metadata[lane.index] = (env.sim_time, heading_error, d)
             if isinstance(lane.perception, BatchedCnnPerception):
                 lane.perception.begin_round()
         for j in range(max_requests):  # repro: allow[PERF001] request index, not the batch axis
@@ -258,13 +244,7 @@ class BatchEngine:
                 self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
             )
             for m, lane in enumerate(subset):  # repro: allow[PERF001] per-lane RNG + packaging
-                image = images[m]
-                camera = lane.cosim.env.camera
-                if noise_sigma > 0:
-                    image = image + camera._rng.normal(
-                        0.0, noise_sigma, image.shape
-                    ).astype(np.float32)
-                image = np.clip(image, 0.0, 1.0)
+                image = lane.cosim.env.camera.finish_frame(images[m])
                 timestamp, heading_error, d = metadata[lane.index]
                 response = {
                     "height": image.shape[0],
@@ -406,28 +386,6 @@ class BatchEngine:
                 if env._goal_time is None and ss[m] >= goal:
                     env._goal_time = sample_time
 
-        # Refresh the cached per-lane course state from the final frame's
-        # (already serial-exact) batch values: s and d carry over; the
-        # heading error repeats ``World.heading_error`` — clipped-arclength
-        # segment lookup, then per-lane ``atan2`` (no bit-identical vector
-        # form) against the committed yaw.
-        centerline = self.world.centerline
-        s_clipped = np.clip(s_new, 0.0, centerline.length)
-        seg = np.minimum(
-            np.searchsorted(centerline._cum, s_clipped, side="right") - 1,
-            len(centerline._seg_lengths) - 1,
-        )
-        tangents = centerline._dirs[seg].tolist()
-        yaw_list = w.yaw.tolist()
-        s_list, d_list = s_new.tolist(), d_new.tolist()
-        for m, lane in enumerate(active):  # repro: allow[PERF001] per-lane atan2
-            tangent = tangents[m]
-            self._course[lane.index] = (
-                s_list[m],
-                d_list[m],
-                angle_difference(yaw_list[m], math.atan2(tangent[1], tangent[0])),
-            )
-
         if not all_active:
             self.dyn.scatter(idx, w)
             self.pid_forward.scatter(idx, pid_f)
@@ -435,7 +393,8 @@ class BatchEngine:
             self.pid_vertical.scatter(idx, pid_v)
             self.pid_yaw.scatter(idx, pid_y)
         for m, lane in enumerate(active):  # repro: allow[PERF001] scalar write-back into lane objects
-            dynamics = lane.cosim.env.dynamics
+            env = lane.cosim.env
+            dynamics = env.dynamics
             st = dynamics.state
             st.x = float(w.x[m])
             st.y = float(w.y[m])
@@ -452,7 +411,9 @@ class BatchEngine:
             applied.yaw_accel = float(w.ap_yaw[m])
             dynamics._recovery_until = float(w.recovery_until[m])
             dynamics.time = self.time
-            lane.cosim.env.frame = self.frame
+            env.frame = self.frame
+            # The last frame's (serial-exact) course coordinates.
+            env.set_course_coordinates(ss[m], ds[m])
 
     # -- phase 5: per-lane synchronizer step ----------------------------
     def _step_lanes(self, active: list[_Lane]) -> None:

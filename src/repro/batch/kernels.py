@@ -5,21 +5,30 @@ vectorized expression per arithmetic step — there are no Python-level
 loops over the batch axis in this module (lint rule PERF001 enforces
 that for the whole ``repro.batch`` package).
 
+The FPV rasterizer is not defined here: :func:`render_lanes` lives in
+:mod:`repro.env.camera`, where the serial camera renders each frame as a
+batch of one lane.  It is re-exported so the engine reaches every
+kernel through this module.  Dynamics and PID control stay scalar on
+the serial path; as K=1 lane kernels they measured slower than the
+scalar code.
+
 Bit-exactness contract
 ----------------------
 Each kernel replicates the serial arithmetic of its counterpart —
 :mod:`repro.env.physics`, :mod:`repro.env.flightctl`,
-:mod:`repro.env.geometry`, :mod:`repro.env.camera` — operation for
-operation, in the same order, so a lane of the batch produces bit-for-bit
-the floats the serial simulator produces.  This relies on elementwise
-numpy ufuncs (``np.cos``/``np.sin``/``np.sqrt``/``np.fmod``, arithmetic,
+:mod:`repro.env.geometry` — operation for operation, in the same order,
+so a lane of the batch produces bit-for-bit the floats the serial
+simulator produces.  This relies on elementwise numpy ufuncs
+(``np.cos``/``np.sin``/``np.sqrt``/``np.fmod``, arithmetic,
 compare/select) computing the same IEEE-754 result as the scalar
 ``math.*`` / Python-float expression; that holds on this code path and is
 pinned by the batched-vs-serial oracle.  The operations that do *not*
-vectorize bit-identically (``math.hypot``, ``math.atan2``, the 2-vector
-BLAS dot in :meth:`Polyline.project <repro.env.geometry.Polyline.project>`)
-stay as per-lane scalar loops in :mod:`repro.batch.engine`, each marked
-with an explicit PERF001 waiver.
+vectorize bit-identically (``math.hypot``, the 2-vector BLAS dot in
+:meth:`Polyline.project <repro.env.geometry.Polyline.project>`) stay as
+per-lane scalar loops in :mod:`repro.batch.engine`, each marked with an
+explicit PERF001 waiver; the heading error's ``math.atan2`` is left to
+each lane's :meth:`EnvSimulator.course_state
+<repro.env.simulator.EnvSimulator.course_state>`.
 """
 
 from __future__ import annotations
@@ -28,11 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.env.camera import FpvCamera
+from repro.env.camera import render_lanes  # noqa: F401 - re-exported for the engine
+from repro.env.geometry import _EPS
 from repro.env.physics import QuadrotorParams
 from repro.env.worlds import World
-
-_EPS = 1e-12  # mirrors repro.env.geometry._EPS
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
@@ -302,278 +310,3 @@ def project_lanes(
     rows = np.arange(points.shape[0])
     s = world.centerline._cum[idx] + t[rows, idx]
     return s, idx, np.column_stack([diffx[rows, idx], diffy[rows, idx]])
-
-
-#: Lanes per cast block.  The (lanes, W, S) intermediate planes are the
-#: whole cost of the ray solve; two lanes' worth (~250 KB at W=48,
-#: S=322) stays cache-resident, while the full 16-lane batch spills to
-#: DRAM and measures >2x slower.
-_CAST_LANE_CHUNK = 2
-
-
-def cast_rays_lanes(
-    origins_x: np.ndarray,
-    origins_y: np.ndarray,
-    angles: np.ndarray,
-    world: World,
-    max_range: float,
-) -> np.ndarray:
-    """Batched ``SegmentSoup.cast_rays``: (K,) origins x (K, W) angles.
-
-    Each (lane, ray, segment) scalar pairing matches the serial solve, so
-    every returned distance is bit-identical.  Lanes are processed in
-    cache-sized blocks; each lane's arithmetic is independent, so the
-    blocking cannot change any bit.
-    """
-    n_lanes = origins_x.shape[0]
-    if n_lanes <= _CAST_LANE_CHUNK:
-        return _cast_rays_block(origins_x, origins_y, angles, world, max_range)
-    out = np.empty_like(angles)
-    for lo in range(0, n_lanes, _CAST_LANE_CHUNK):  # repro: allow[PERF001] fixed cache-block loop
-        hi = min(lo + _CAST_LANE_CHUNK, n_lanes)
-        out[lo:hi] = _cast_rays_block(
-            origins_x[lo:hi], origins_y[lo:hi], angles[lo:hi], world, max_range
-        )
-    return out
-
-
-def _cast_rays_block(
-    origins_x: np.ndarray,
-    origins_y: np.ndarray,
-    angles: np.ndarray,
-    world: World,
-    max_range: float,
-) -> np.ndarray:
-    """One cache-sized block of the batched ray solve."""
-    walls = world.walls
-    ax, ay = walls._ax, walls._ay
-    dx, dy = walls._dx, walls._dy
-    rdx = np.cos(angles)[:, :, None]  # (K, W, 1)
-    rdy = np.sin(angles)[:, :, None]
-    sx = ax[None, None, :] - origins_x[:, None, None]  # (K, 1, S)
-    sy = ay[None, None, :] - origins_y[:, None, None]
-    # The (K, W, S) planes dominate this kernel's cost, so the serial
-    # expressions are restated as in-place updates over four reusable
-    # buffers — every elementwise pairing (and result bit) is unchanged.
-    denom = rdx * dy[None, None, :]
-    t = rdy * dx[None, None, :]
-    denom -= t
-    safe = np.abs(denom) > _EPS
-    denom[~safe] = 1.0  # np.where(safe, denom, 1.0)
-    t_num = sx * dy[None, None, :] - sy * dx[None, None, :]  # (K, 1, S)
-    np.divide(t_num, denom, out=t)
-    u = sx * rdy
-    scratch = sy * rdx
-    u -= scratch
-    u /= denom
-    valid = safe
-    valid &= t >= 0.0
-    valid &= u >= 0.0
-    valid &= u <= 1.0
-    np.logical_not(valid, out=valid)
-    t[valid] = max_range  # np.where(valid, t, max_range)
-    return np.minimum(t.min(axis=2), max_range)
-
-
-# ----------------------------------------------------------------------
-# FPV camera (repro.env.camera)
-# ----------------------------------------------------------------------
-def render_lanes(
-    camera: FpvCamera,
-    world: World,
-    x: np.ndarray,
-    y: np.ndarray,
-    yaw: np.ndarray,
-) -> np.ndarray:
-    """Batched noise-free ``FpvCamera.render`` for K poses → (K, H, W).
-
-    ``camera`` supplies the (shared, pose-independent) projection
-    constants; per-lane texture noise is added by the engine afterwards,
-    drawn from each lane's own camera RNG in serial order.
-    """
-    p = camera.params
-    angles = yaw[:, None] + camera._col_angles[None, :]  # (K, W)
-    depths = cast_rays_lanes(x, y, angles, world, p.max_depth)
-    depths = np.maximum(depths, 0.2)
-    perp = depths * camera._cos_col[None, :]
-    perp = np.maximum(perp, 0.2)
-
-    horizon = (p.height - 1) / 2.0
-    wall_top = horizon - (p.wall_height - p.camera_height) * camera._focal / perp
-    wall_bottom = horizon + p.camera_height * camera._focal / perp
-
-    image = np.zeros((x.shape[0], p.height, p.width), dtype=np.float32)
-    rows = camera._rows_f[None, :, :]  # (1, H, 1)
-    in_wall = (rows >= wall_top[:, None, :]) & (rows < wall_bottom[:, None, :])
-    shade = 0.75 / (1.0 + 0.10 * depths)
-    image += in_wall * shade[:, None, :]
-    image += (rows < wall_top[:, None, :]) * 0.08
-
-    below = rows > wall_bottom[:, None, :]
-    if np.any(below):
-        cos_a = np.cos(angles)[:, None, :]  # (K, 1, W)
-        sin_a = np.sin(angles)[:, None, :]
-        gx = x[:, None, None] + camera._ground_dist[None, :, :] * cos_a
-        gy = y[:, None, None] + camera._ground_dist[None, :, :] * sin_a
-        offsets = floor_offsets(world, gx[below], gy[below])
-        floor_shade = np.full(offsets.shape, 0.22, dtype=np.float32)
-        floor_shade[np.abs(offsets) <= p.trail_half_width] = 0.95
-        image[below] = floor_shade
-    return image
-
-
-#: Candidate segments the float32 prefilter keeps per floor point.
-#: Six covers the exact minimum plus every same-endpoint near-tie even on
-#: worlds with sub-meter segments.
-_FLOOR_CANDIDATES = 6
-
-#: Index offsets of the candidate window around the float32-nearest
-#: segment (len == _FLOOR_CANDIDATES).
-_WINDOW_OFFSETS = np.arange(_FLOOR_CANDIDATES) - _FLOOR_CANDIDATES // 2
-
-#: Pixel rows per prefilter block; (chunk, S) float32 planes stay in L2.
-_FLOOR_CHUNK = 256
-
-
-def floor_offsets(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
-    """Signed centerline offsets of flat ``(P,)`` floor points.
-
-    Bit-exact replacement for
-    :meth:`FpvCamera._centerline_offsets <repro.env.camera.FpvCamera>` —
-    the batched renderer's dominant cost.  Large inputs take a two-stage
-    path: a cheap float32 distance pass (two skinny sgemms plus a few
-    elementwise planes) finds each point's approximately nearest segment,
-    and a window of :data:`_FLOOR_CANDIDATES` consecutive segments around
-    it — near-ties come from neighbours sharing an endpoint — is refined
-    with the exact serial float64 arithmetic.  A conservative error bound
-    proves, per point, that every excluded segment is strictly farther
-    than the refined minimum — any point that cannot be proven falls the
-    whole call back to :func:`_floor_offsets_exact`, so the prefilter can
-    only ever cost time, never exactness.
-    """
-    arrays = world.centerline_arrays
-    n_seg = arrays.starts.shape[0]
-    n_pts = px_.shape[0]
-    if n_seg <= _FLOOR_CANDIDATES + 2 or n_pts * n_seg <= 20000:
-        return _floor_offsets_exact(world, px_, py_)
-
-    sx, sy = arrays.starts[:, 0], arrays.starts[:, 1]
-    ux, uy = arrays.units[:, 0], arrays.units[:, 1]
-    lens = arrays.lens
-
-    # -- float32 prefilter ---------------------------------------------
-    # One (P, 3) point matrix against two (3, S) segment matrices; the
-    # affine terms (segment self-projection, |s|^2, the -2 factor) are
-    # folded into the gemm operands so no whole-plane pass re-applies
-    # them.  |p|^2 is a per-row constant — it shifts neither the row
-    # argmin nor which segment attains the excluded minimum, so it is
-    # added back in float64 on the extracted threshold only.
-    A = np.empty((n_pts, 3), dtype=np.float32)
-    A[:, 0] = px_
-    A[:, 1] = py_
-    A[:, 2] = 1.0
-    B_q = np.empty((3, n_seg), dtype=np.float32)
-    B_q[0] = ux
-    B_q[1] = uy
-    B_q[2] = -(sx * ux + sy * uy)  # segment self-projections
-    B_d = np.empty((3, n_seg), dtype=np.float32)
-    B_d[0] = -2.0 * sx
-    B_d[1] = -2.0 * sy
-    B_d[2] = sx * sx + sy * sy
-    lens32 = lens.astype(np.float32)[None, :]
-
-    nearest = np.empty(n_pts, dtype=np.intp)
-    thresh = np.empty(n_pts, dtype=np.float32)
-    q = np.empty((_FLOOR_CHUNK, n_seg), dtype=np.float32)
-    d2_32 = np.empty((_FLOOR_CHUNK, n_seg), dtype=np.float32)
-    t32 = np.empty((_FLOOR_CHUNK, n_seg), dtype=np.float32)
-    chunk_rows = np.arange(_FLOOR_CHUNK)[:, None]
-    # Cache blocking over the *pixel* axis (not the lane axis): every
-    # pass below touches the same ~(chunk, S) float32 block, which stays
-    # resident in L2 instead of streaming multi-megabyte planes.
-    for lo in range(0, n_pts, _FLOOR_CHUNK):  # repro: allow[PERF001] fixed cache-block loop
-        hi = min(lo + _FLOOR_CHUNK, n_pts)
-        m = hi - lo
-        qm, d2m, tm = q[:m], d2_32[:m], t32[:m]
-        np.matmul(A[lo:hi], B_q, out=qm)  # projections onto segments
-        np.matmul(A[lo:hi], B_d, out=d2m)
-        np.minimum(qm, lens32, out=tm)
-        np.maximum(tm, 0.0, out=tm)
-        # |p-(s+t u)|^2 - |p|^2 = -2 p.s + |s|^2 - t (2 q - t)
-        qm += qm
-        qm -= tm
-        qm *= tm  # q := t (2 q - t)
-        d2m -= qm
-        nr = d2m.argmin(axis=1)
-        nearest[lo:hi] = nr
-        # Candidate window: the float32-nearest segment plus its index
-        # neighbours, clipped at the course ends (duplicates are harmless
-        # — argmin keeps the first, i.e. lowest-index, occurrence).
-        # Minimum float32 distance over the *excluded* segments is a
-        # lower bound (minus the error margin below) on their exact
-        # distances; the scatter masks candidates in place.
-        d2m[chunk_rows[:m], np.clip(nr[:, None] + _WINDOW_OFFSETS[None, :], 0, n_seg - 1)] = (
-            np.float32(np.inf)
-        )
-        thresh[lo:hi] = d2m.min(axis=1)
-
-    point_rows = np.arange(n_pts)
-    # Window indices ascend, so the refined argmin tie-breaks like the
-    # serial global one.
-    cand = np.clip(nearest[:, None] + _WINDOW_OFFSETS[None, :], 0, n_seg - 1)
-    p2 = px_ * px_ + py_ * py_  # restore the dropped |p|^2, in float64
-    thresh = thresh.astype(np.float64) + p2
-
-    # -- exact serial arithmetic on the candidates ---------------------
-    c_sx, c_sy = sx[cand], sy[cand]  # (P, C)
-    c_ux, c_uy = ux[cand], uy[cand]
-    relx = px_[:, None] - c_sx
-    rely = py_[:, None] - c_sy
-    t = np.clip(relx * c_ux + rely * c_uy, 0.0, lens[cand])
-    # Serial forms ``closest`` then ``point - closest``; keep that order.
-    diffx = px_[:, None] - (c_sx + t * c_ux)
-    diffy = py_[:, None] - (c_sy + t * c_uy)
-    d2 = diffx * diffx + diffy * diffy
-    best = np.argmin(d2, axis=1)
-
-    # -- soundness guard -----------------------------------------------
-    # Bound the float32 pass's absolute error by ~10 ulps at the squared
-    # magnitude of the inputs, with a 6x safety factor.  The guard must
-    # hold for every point, else the call reruns exactly.
-    scale = max(
-        float(np.abs(px_).max(initial=1.0)),
-        float(np.abs(py_).max(initial=1.0)),
-        float(np.abs(arrays.starts).max(initial=1.0)),
-        float(lens.max(initial=1.0)),
-    )
-    margin = 64.0 * float(np.finfo(np.float32).eps) * (scale * scale + 1.0)
-    if bool((d2[point_rows, best] >= thresh - margin).any()):
-        return _floor_offsets_exact(world, px_, py_)
-
-    idx = cand[point_rows, best]
-    return (
-        diffx[point_rows, best] * (-uy[idx]) + diffy[point_rows, best] * ux[idx]
-    )
-
-
-def _floor_offsets_exact(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
-    """Split-coordinate restatement of the serial floor shader.
-
-    Every ``(P, S)`` intermediate is a single coordinate plane instead of
-    the stacked ``(P, S, 2)`` arrays, halving the memory traffic.
-    Bit-exact with ``FpvCamera._centerline_offsets``: a ``.sum(axis=2)``
-    over two elements is the plain ordered ``x + y`` these expressions
-    write out, and every other operation pairs identically.
-    """
-    arrays = world.centerline_arrays
-    sx, sy = arrays.starts[:, 0], arrays.starts[:, 1]
-    ux, uy = arrays.units[:, 0], arrays.units[:, 1]
-    relx = px_[:, None] - sx[None, :]  # (P, S)
-    rely = py_[:, None] - sy[None, :]
-    t = np.clip(relx * ux[None, :] + rely * uy[None, :], 0.0, arrays.lens[None, :])
-    # Serial forms ``closest`` then ``point - closest``; keep that order.
-    diffx = px_[:, None] - (sx[None, :] + t * ux[None, :])
-    diffy = py_[:, None] - (sy[None, :] + t * uy[None, :])
-    idx = np.argmin(diffx * diffx + diffy * diffy, axis=1)
-    rows = np.arange(px_.shape[0])
-    return diffx[rows, idx] * (-uy[idx]) + diffy[rows, idx] * ux[idx]

@@ -11,6 +11,7 @@ camera's worth of rays in one call.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -208,6 +209,7 @@ class Polyline:
         if np.any(self._seg_lengths < _EPS):
             raise ValueError("Polyline contains a degenerate segment")
         self._cum = np.concatenate([[0.0], np.cumsum(self._seg_lengths)])
+        self._cum_list = self._cum.tolist()
         self._dirs = deltas / self._seg_lengths[:, None]
 
     @property
@@ -223,9 +225,12 @@ class Polyline:
 
     def tangent_at_arclength(self, s: float) -> np.ndarray:
         """Unit tangent at arclength ``s``."""
-        s = float(np.clip(s, 0.0, self.length))
-        i = int(np.searchsorted(self._cum, s, side="right") - 1)
-        i = min(i, len(self._seg_lengths) - 1)
+        # Plain-float clamp and bisect pick the segment np.clip and
+        # np.searchsorted(side="right") would, without numpy's per-call
+        # overhead: every course-state read comes through here.
+        cum = self._cum_list
+        s = min(max(float(s), 0.0), cum[-1])
+        i = min(bisect.bisect_right(cum, s) - 1, len(cum) - 2)
         return self._dirs[i].copy()
 
     def normal_at_arclength(self, s: float) -> np.ndarray:

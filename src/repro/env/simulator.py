@@ -141,6 +141,12 @@ class EnvSimulator:
         self.frame = 0
         self.trajectory: list[TrajectorySample] = []
         self._goal_time: float | None = None
+        #: Course state of the committed pose: ``(s, d)`` from the
+        #: projection :meth:`_record_sample` makes every frame, and the
+        #: heading error, computed from ``s`` on first read.
+        self._course_s = 0.0
+        self._course_d = 0.0
+        self._heading_error: float | None = None
         self._record_sample()
 
     # ------------------------------------------------------------------
@@ -190,9 +196,7 @@ class EnvSimulator:
             self.dynamics.step(command, dt)
             self.frame += 1
             self._record_sample()
-            if self._goal_time is None and self.world.reached_goal(
-                self.position
-            ):
+            if self._goal_time is None and self._course_s >= self.world.goal_arclength:
                 self._goal_time = self.sim_time
 
     # ------------------------------------------------------------------
@@ -245,21 +249,35 @@ class EnvSimulator:
 
         Exposed alongside camera frames as image metadata (AirSim likewise
         exposes ground-truth kinematics); the calibrated behavioural
-        classifier consumes it in place of pixels.
+        classifier consumes it in place of pixels.  Served from the
+        course-state cache; nothing is re-projected.
         """
-        st = self.dynamics.state
-        s, d = self.world.course_coordinates(np.array([st.x, st.y]))
-        return s, d, self.world.heading_error(st.pose)
+        if self._heading_error is None:
+            self._heading_error = self.world.heading_error_at(
+                self._course_s, self.dynamics.state.yaw
+            )
+        return self._course_s, self._course_d, self._heading_error
 
     @property
     def course_progress(self) -> float:
         """Fraction of the course completed, in [0, 1]."""
-        s, _ = self.world.course_coordinates(self.position)
-        return min(1.0, s / self.world.goal_arclength)
+        return min(1.0, self._course_s / self.world.goal_arclength)
+
+    def set_course_coordinates(self, s: float, d: float) -> None:
+        """Cache ``(s, d)`` of a newly committed pose.
+
+        For callers that advance the dynamics state themselves and have
+        projected the committed position already (the batched engine);
+        the heading error is recomputed on the next read.
+        """
+        self._course_s = s
+        self._course_d = d
+        self._heading_error = None
 
     def _record_sample(self) -> None:
         st = self.dynamics.state
         s, d = self.world.course_coordinates(np.array([st.x, st.y]))
+        self.set_course_coordinates(s, d)
         self.trajectory.append(
             TrajectorySample(
                 time=self.sim_time,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.env.courses import sine_centerline, straight_centerline
-from repro.env.geometry import Polyline, Pose2, Segment2, SegmentSoup
+from repro.env.geometry import Polyline, Pose2, Segment2, SegmentSoup, angle_difference
 from repro.errors import SimulationError
 
 
@@ -126,11 +126,13 @@ class World:
     def heading_error(self, pose: Pose2) -> float:
         """Signed angle between the pose heading and the course tangent."""
         s, _ = self.centerline.project(pose.position)
-        tangent = self.centerline.tangent_at_arclength(s)
-        course_yaw = math.atan2(tangent[1], tangent[0])
-        from repro.env.geometry import angle_difference
+        return self.heading_error_at(s, pose.yaw)
 
-        return angle_difference(pose.yaw, course_yaw)
+    def heading_error_at(self, s: float, yaw: float) -> float:
+        """Heading error of ``yaw`` against the course tangent at arclength
+        ``s`` — :meth:`heading_error` for a pose already projected."""
+        tangent = self.centerline.tangent_at_arclength(s)
+        return angle_difference(yaw, math.atan2(tangent[1], tangent[0]))
 
     def spawn_pose(
         self,

@@ -573,9 +573,11 @@ class SweepRunner:
         batched engine is bit-identical to serial execution (enforced by
         the ``batch_vs_serial`` oracle), so completed lanes reuse the
         ordinary completion path — same cache writes, same journal
-        events, same outcome shape.  A chunk that errors is *not*
-        charged a failed attempt: its tasks simply fall through to the
-        supervised path, which owns retry bookkeeping.
+        events, same outcome shape.  ``run_batch`` absorbs the engine's
+        declared :class:`~repro.batch.eligibility.BatchIneligible`, so
+        any exception reaching here is an engine fault: every task of
+        the chunk is charged one failed attempt, and the retries go to
+        the supervised path.
         """
         remaining: list[_Pending] = []
         groups: dict[str, list[_Pending]] = {}
@@ -600,8 +602,15 @@ class SweepRunner:
                     results, seconds = _execute_batch(
                         [p.task.config for p in chunk], [p.key for p in chunk]
                     )
-                except Exception:  # noqa: BLE001 - fall back, path owns retries
-                    remaining.extend(chunk)
+                except Exception as exc:  # noqa: BLE001 - taxonomy, not policy
+                    message = f"batched engine: {type(exc).__name__}: {exc}"
+                    now = perf_counter()
+                    for pending in chunk:
+                        retry = self._charge(
+                            pending, "exception", message, registry, outcomes, now
+                        )
+                        if retry is not None:
+                            remaining.append(retry)
                     continue
                 registry.inc("rose_sweep_batch_chunks_total")
                 registry.inc("rose_sweep_batched_missions_total", len(chunk))

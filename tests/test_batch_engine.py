@@ -8,6 +8,7 @@ cache-entry sharing through the sweep runner.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.batch import (
@@ -16,6 +17,7 @@ from repro.batch import (
     run_batch,
     run_missions_batched,
 )
+from repro.batch.engine import BatchEngine
 from repro.core.config import CoSimConfig
 from repro.core.cosim import run_mission
 from repro.core.faults import FaultPlan
@@ -102,6 +104,50 @@ class TestBatchBitIdentity:
         assert batched == serial
 
 
+class TestCourseStateCache:
+    def test_lane_envs_coherent_every_round(self, monkeypatch):
+        # A ragged group on a short tunnel: lane 0 reaches the goal, lane
+        # 1 stops early at its time limit, lane 2 spawns yawed into a
+        # wall.  After every round, each lane env's cached course state
+        # must equal a fresh projection of its committed pose.
+        base = dict(world="tunnel", world_params={"length": 25.0})
+        configs = [
+            _cfg(**base, model="resnet14", target_velocity=7.56, max_sim_time=6.0),
+            _cfg(**base, model="resnet14", seed=1, max_sim_time=1.0),
+            _cfg(**base, target_velocity=9.0, initial_angle_deg=20.0, max_sim_time=3.0),
+        ]
+        active_sizes = []
+        checked = [1] * len(configs)  # trajectory samples goal-tested so far
+        reached = [False] * len(configs)
+        original = BatchEngine._round
+
+        def checked_round(engine, active):
+            original(engine, active)
+            active_sizes.append(len(active))
+            for lane in engine.lanes:
+                env = lane.cosim.env
+                world = env.world
+                st = env.dynamics.state
+                s, d = world.course_coordinates(np.array([st.x, st.y]))
+                assert env.course_state() == (s, d, world.heading_error(st.pose))
+                assert env.course_progress == min(1.0, s / world.goal_arclength)
+                i = lane.index
+                for sample in env.trajectory[checked[i]:]:
+                    reached[i] = reached[i] or world.reached_goal(
+                        np.array([sample.x, sample.y])
+                    )
+                checked[i] = len(env.trajectory)
+                assert env.mission_complete == reached[i]
+
+        monkeypatch.setattr(BatchEngine, "_round", checked_round)
+        results = BatchEngine(configs).run()
+        assert len(set(active_sizes)) == len(configs)  # ragged: 3, 2, 1 lanes
+        assert [r.completed for r in results] == [True, False, False]
+        assert results[2].collisions > 0
+        serial = [mission_signature(run_mission(c)) for c in configs]
+        assert [mission_signature(r) for r in results] == serial
+
+
 class TestSweepIntegration:
     def test_batched_sweep_shares_cache_with_serial(self, tmp_path):
         # Cold batched sweep populates the cache; a serial re-run must hit
@@ -128,3 +174,19 @@ class TestSweepIntegration:
         assert report.batch_chunks == 0
         serial = run_mission(_cfg(seed=0))
         assert mission_signature(report.results()[0]) == mission_signature(serial)
+
+    def test_engine_fault_charges_each_lane_one_attempt(self, monkeypatch):
+        # A batched-engine fault is not a silent fallback: every lane of
+        # the chunk is charged one attempt, then reruns serially.
+        def broken_batch(configs):
+            raise RuntimeError("lane kernels diverged")
+
+        monkeypatch.setattr("repro.sweep.runner.run_batch", broken_batch)
+        configs = [_cfg(seed=s) for s in range(3)]
+        report = SweepRunner(workers=1, batch_size=4).run(configs)
+        assert report.retries == len(configs)
+        assert report.batched_missions == 0
+        for outcome in report.outcomes:
+            assert outcome.state == "ok" and outcome.attempts == 2
+        serial = [mission_signature(run_mission(c)) for c in configs]
+        assert [mission_signature(r) for r in report.results()] == serial

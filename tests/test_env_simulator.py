@@ -88,6 +88,59 @@ class TestStepping:
         assert d == pytest.approx(0.5, abs=1e-6)
 
 
+def _fresh_course(sim):
+    """``(s, d, heading_error)`` of the current pose, projected afresh."""
+    st = sim.dynamics.state
+    s, d = sim.world.course_coordinates(np.array([st.x, st.y]))
+    return s, d, sim.world.heading_error(st.pose)
+
+
+def _assert_course_coherent(sim, reached_goal):
+    s, d, heading_error = _fresh_course(sim)
+    assert sim.course_state() == (s, d, heading_error)
+    assert sim.course_progress == min(1.0, s / sim.world.goal_arclength)
+    assert sim.mission_complete == reached_goal
+
+
+class TestCourseStateCache:
+    """The cached course state equals a fresh projection at every frame."""
+
+    @staticmethod
+    def _fly(sim, target, frames):
+        """Step frame by frame, checking coherence; returns per-frame
+        "position held" flags."""
+        sim.send_velocity_target(target)
+        reached = False
+        held = []
+        for _ in range(frames):
+            before = (sim.dynamics.state.x, sim.dynamics.state.y)
+            sim.continue_for_frames(1)
+            held.append((sim.dynamics.state.x, sim.dynamics.state.y) == before)
+            reached = reached or sim.world.reached_goal(sim.position)
+            _assert_course_coherent(sim, reached)
+        return held
+
+    def test_coherent_through_wall_collision_and_reset(self):
+        # Curved course, no steering: the drone flies into the outer wall
+        # and is held against it during recovery.
+        sim = EnvSimulator(EnvConfig(world="s-shape", initial_angle_deg=10.0))
+        _assert_course_coherent(sim, False)
+        sim.takeoff()
+        held = self._fly(sim, VelocityTarget(v_forward=8.0, altitude=1.5), 60 * 4)
+        assert sim.collision_count > 0
+        assert any(held)
+        sim.reset()
+        _assert_course_coherent(sim, False)
+        assert sim.course_state() == _fresh_course(EnvSimulator(sim.config))
+
+    def test_coherent_until_goal(self):
+        sim = EnvSimulator(EnvConfig(world="tunnel"))
+        sim.takeoff()
+        self._fly(sim, VelocityTarget(v_forward=10.0, altitude=1.5), 60 * 8)
+        assert sim.mission_complete
+        assert sim.course_progress == 1.0
+
+
 class TestSensorsApi:
     def test_camera_image(self, env_sim):
         image = env_sim.get_camera_image()

@@ -179,6 +179,21 @@ class TestPolyline:
             assert abs(t @ n) < 1e-12
             assert np.linalg.norm(t) == pytest.approx(1.0)
 
+    def test_tangent_segment_matches_numpy_lookup(self):
+        # The scalar clamp + bisect must pick the segment np.clip +
+        # np.searchsorted(side="right") picks, at and around every vertex.
+        pts = np.column_stack([np.linspace(0, 20, 41), 3.0 * np.sin(np.linspace(0, 6, 41))])
+        line = Polyline(pts)
+        cum = line._cum
+        values = [-1.0, -0.0, 0.0, line.length, line.length + 1.0, math.inf, -math.inf]
+        values += list(np.random.default_rng(0).uniform(-1.0, line.length + 1.0, 500))
+        for vertex in cum:
+            values += [vertex, np.nextafter(vertex, -np.inf), np.nextafter(vertex, np.inf)]
+        for s in values:
+            clipped = float(np.clip(s, 0.0, line.length))
+            i = min(int(np.searchsorted(cum, clipped, side="right")) - 1, len(cum) - 2)
+            assert line.tangent_at_arclength(s).tobytes() == line._dirs[i].tobytes(), s
+
     def test_project_on_straight_line(self):
         line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
         s, d = line.project(np.array([4.0, 2.0]))
