@@ -10,9 +10,11 @@ one in the file itself, and the per-file rules cannot see it.
 
 The pass seeds a hazard set in every function body:
 
-* wall-clock reads (``time.*``, ``datetime.now`` family);
-* global-stream RNG (unseeded ``random.*`` / ``numpy.random.*`` draws,
-  and any global seeding);
+* the calls the DET001 (global or OS-entropy RNG, any global seeding)
+  and DET002 (wall-clock reads) rows of the call-ban table
+  (:mod:`repro.analysis.lint.bans`) name, with no path scope or
+  blessed module — the per-file rules and this pass judge those calls
+  from the same data;
 * process environment reads (``os.environ``, ``os.getenv``) — host state
   that varies between machines;
 * ``id()`` / ``hash()`` of objects — address- or
@@ -34,16 +36,11 @@ from dataclasses import dataclass
 
 from repro.analysis.deepcheck.callgraph import build_call_graph
 from repro.analysis.deepcheck.symbols import FunctionInfo, build_symbols
+from repro.analysis.lint.bans import first_ban, rows_for
 from repro.analysis.lint.diagnostics import Diagnostic
 from repro.analysis.lint.engine import Module, ProjectModel
 from repro.analysis.lint.registry import project_rule
-from repro.analysis.lint.rules_det import (
-    _NP_RANDOM_OK,
-    _RANDOM_OK,
-    _SEED_CALLS,
-    _WALL_CLOCK,
-    _iterables,
-)
+from repro.analysis.lint.rules_det import _iterables
 
 #: The signature/cache-key slice: every function whose output becomes a
 #: content hash.  Roots absent from a tree are skipped, so fixture trees
@@ -56,6 +53,10 @@ DEFAULT_TAINT_ROOTS = (
     "repro.core.manifest.config_to_dict",
     "repro.serve.service.report_signature",
 )
+
+#: The call-ban table's RNG (DET001) and wall-clock (DET002) rows, read
+#: without their path scopes: the whole slice is a simulation path.
+_TAINT_BANS = [rows_for("DET001"), rows_for("DET002")]
 
 
 @dataclass(frozen=True)
@@ -97,49 +98,17 @@ def _call_hazards(node: ast.Call, module: Module) -> list[Hazard]:
     dotted = module.call_name(node)
     if dotted is None:
         return []
-    if dotted in _WALL_CLOCK:
-        return [
-            Hazard(
-                line=node.lineno,
-                col=node.col_offset,
-                description=f"wall-clock read {dotted}()",
-                hint="signature inputs must be simulated-time or config data",
-            )
-        ]
-    if dotted in _SEED_CALLS:
-        return [
-            Hazard(
-                line=node.lineno,
-                col=node.col_offset,
-                description=f"global RNG seeding {dotted}()",
-                hint="seeding inside the signature slice reorders every "
-                "other consumer's stream",
-            )
-        ]
-    if dotted.startswith("numpy.random."):
-        member = dotted.split(".", 2)[2].split(".")[0]
-        if member not in _NP_RANDOM_OK:
+    for rows in _TAINT_BANS:
+        ban = first_ban(rows, dotted, node)
+        if ban is not None:
             return [
                 Hazard(
                     line=node.lineno,
                     col=node.col_offset,
-                    description=f"unseeded global-stream draw {dotted}()",
-                    hint="use a seeded np.random.default_rng(seed) generator",
+                    description=ban.hazard.format(call=dotted),
+                    hint=ban.hint,
                 )
             ]
-        return []
-    if dotted.startswith("random."):
-        member = dotted.split(".", 1)[1].split(".")[0]
-        if member not in _RANDOM_OK:
-            return [
-                Hazard(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    description=f"unseeded global-stream draw {dotted}()",
-                    hint="use random.Random(seed) owned by the component",
-                )
-            ]
-        return []
     # (os.environ.get/[] reads are caught by the os.environ attribute
     # check in function_hazards; only the bare-function form is a call.)
     if dotted == "os.getenv":

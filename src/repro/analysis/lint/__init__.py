@@ -9,9 +9,9 @@ time, before a golden re-record or a poisoned cache entry ever happens.
 
 Rule families (see the modules for the catalog):
 
-* **DET** (:mod:`.rules_det`) — determinism: unseeded global-state RNG,
-  wall-clock reads on simulation paths, unordered iteration feeding
-  digests;
+* **DET** — determinism: unseeded or OS-entropy RNG and wall-clock reads
+  on simulation paths (DET001/DET002, call-ban table rows in
+  :mod:`.bans`), unordered iteration feeding digests (:mod:`.rules_det`);
 * **NUM** (:mod:`.rules_num`) — numeric reproducibility: float
   reassociation via builtin ``sum()``, dtype-less ``np.array`` in
   kernels;
@@ -23,18 +23,17 @@ Rule families (see the modules for the catalog):
 * **OBS** (:mod:`.rules_obs`) — observability: metric names and
   :class:`MetricSpec` declarations single-sourced in
   :mod:`repro.obs.declarations`;
-* **PERF** (:mod:`.rules_perf`) — batched-engine vectorization: no
-  Python-level loops under :mod:`repro.batch` without a waived reason;
-* **RES** (:mod:`.rules_res`) — resilience: retry loops in the sweep
-  engine must be bounded, and every sweep-side wait must route through
-  the shared backoff helper in :mod:`repro.sweep.resilience`;
-* **SCN** (:mod:`.rules_scn`) — fuzzer determinism: scenario/fuzzing
-  code draws randomness only from the campaign's injected seeded
-  :class:`random.Random`, never the module-level ``random.*`` /
-  ``np.random.*`` APIs;
-* **SRV** (:mod:`.rules_srv`) — serve determinism: the sweep service
-  reads time only through the injected :class:`~repro.serve.clock.Clock`
-  seam, keeping the end-to-end service harness fake-clock drivable.
+* **RES** — resilience: retry loops in the sweep engine must be bounded
+  (:mod:`.rules_res`), and every sweep-side wait must route through the
+  shared backoff helper in :mod:`repro.sweep.resilience` (RES002, a
+  :mod:`.bans` row);
+* **SRV** (:mod:`.bans`) — serve determinism: the sweep service reads
+  time only through the injected :class:`~repro.serve.clock.Clock` seam,
+  keeping the end-to-end service harness fake-clock drivable.
+
+Every rule of the form "call C is banned under path P except in module
+M" is a row of the one call-ban table in :mod:`.bans`, which the
+DEEP001 taint pass reads too.
 
 Diagnostics are suppressed either inline (``# repro: allow[RULE]`` on
 the flagged line or the line above) or through a committed baseline file
@@ -57,15 +56,13 @@ from repro.analysis.lint.registry import (
 # Importing the rule modules registers every shipped rule.  The deepcheck
 # package registers the whole-program DEEP rules the same way.
 from repro.analysis.lint import (  # noqa: E402  (registration side effect)
+    bans,  # noqa: F401
     rules_cfg,  # noqa: F401
     rules_det,  # noqa: F401
     rules_num,  # noqa: F401
     rules_obs,  # noqa: F401
-    rules_perf,  # noqa: F401
     rules_proto,  # noqa: F401
     rules_res,  # noqa: F401
-    rules_scn,  # noqa: F401
-    rules_srv,  # noqa: F401
     rules_waive,  # noqa: F401
 )
 from repro.analysis import deepcheck  # noqa: E402,F401  (registers DEEP rules)

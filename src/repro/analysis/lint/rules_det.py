@@ -7,6 +7,10 @@ reads on simulation paths (results then depend on host speed), and
 iteration order that is not defined by the data (set iteration varies
 across processes under string-hash randomization — exactly the boundary
 the parallel sweep engine crosses).
+
+DET001 (global RNG) and DET002 (wall clock) ban single calls, so they
+are rows of the call-ban table in :mod:`.bans`; this module holds the
+iteration-order rules.
 """
 
 from __future__ import annotations
@@ -18,48 +22,6 @@ from repro.analysis.lint.diagnostics import Diagnostic
 from repro.analysis.lint.engine import Module, ProjectModel
 from repro.analysis.lint.registry import rule
 
-#: Files allowed to touch global RNG state: worker seeding at the sweep
-#: fan-out boundary is *the* blessed site (every task re-seeds from its
-#: config hash before running).
-BLESSED_SEEDING_SITES = ("repro/sweep/runner.py",)
-
-#: numpy.random attributes that construct seeded, instance-scoped state
-#: instead of mutating the global stream.
-_NP_RANDOM_OK = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "MT19937",
-    "Philox",
-    "SFC64",
-}
-
-#: stdlib ``random`` attributes that are instance constructors, not
-#: global-stream calls.
-_RANDOM_OK = {"Random", "SystemRandom"}
-
-_SEED_CALLS = {"random.seed", "numpy.random.seed", "numpy.random.set_state"}
-
-#: Wall-clock reads: anything here makes simulated behaviour (or data
-#: feeding signatures) depend on host time.
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
 #: Files whose output feeds hashes/signatures/cache keys (DET004 scope).
 _DIGEST_FILES = (
     "repro/sweep/signature.py",
@@ -67,101 +29,6 @@ _DIGEST_FILES = (
     "repro/core/manifest.py",
     "repro/verify/golden.py",
 )
-
-
-@rule(
-    "DET001",
-    "no unseeded global-state RNG",
-    "calls into the process-global random stream (random.*, np.random.*) "
-    "draw from state no config seeds, so two identical configs diverge; "
-    "route randomness through a seeded np.random.default_rng/random.Random "
-    "instance carried by the component",
-)
-def det001_global_rng(module: Module, project: ProjectModel) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    blessed = module.path in BLESSED_SEEDING_SITES
-    for node in module.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = module.call_name(node)
-        if dotted is None:
-            continue
-        if dotted in _SEED_CALLS:
-            if not blessed:
-                out.append(
-                    Diagnostic(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule="DET001",
-                        message=f"global RNG seeding via {dotted}() outside the "
-                        "blessed seeding sites",
-                        hint="seed instance RNGs from the config instead; global "
-                        "seeding belongs only in repro/sweep/runner.py's "
-                        "per-task setup",
-                    )
-                )
-            continue
-        if dotted.startswith("numpy.random."):
-            member = dotted.split(".", 2)[2].split(".")[0]
-            if member not in _NP_RANDOM_OK:
-                out.append(
-                    Diagnostic(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule="DET001",
-                        message=f"unseeded global-stream call {dotted}()",
-                        hint="use a seeded np.random.default_rng(seed) generator "
-                        "owned by the component",
-                    )
-                )
-        elif dotted.startswith("random."):
-            member = dotted.split(".", 1)[1].split(".")[0]
-            if member not in _RANDOM_OK:
-                out.append(
-                    Diagnostic(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule="DET001",
-                        message=f"unseeded global-stream call {dotted}()",
-                        hint="use random.Random(seed) owned by the component",
-                    )
-                )
-    return out
-
-
-@rule(
-    "DET002",
-    "no wall-clock reads on simulation paths",
-    "sim-path code must advance on simulated time (Synchronizer.sim_time, "
-    "sync periods); a wall-clock read makes behaviour depend on host speed "
-    "and breaks bit-reproducibility across machines",
-    paths=("repro/core/", "repro/env/", "repro/soc/"),
-    exclude=("repro/core/timing.py",),  # the StageTimer is the blessed wrapper
-)
-def det002_wall_clock(module: Module, project: ProjectModel) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for node in module.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = module.call_name(node)
-        if dotted in _WALL_CLOCK:
-            out.append(
-                Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule="DET002",
-                    message=f"wall-clock read {dotted}() on a simulation path",
-                    hint="use sim time or route through StageTimer "
-                    "(repro/core/timing.py); observational uses (watchdog "
-                    "deadlines, stage accounting) are waived inline or "
-                    "recorded in the baseline",
-                )
-            )
-    return out
 
 
 def _iterables(tree: ast.AST) -> Iterator[ast.expr]:

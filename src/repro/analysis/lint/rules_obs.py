@@ -5,20 +5,19 @@ Every metric the observability layer records is declared once, in
 runtime, but only on paths a test actually drives.  This rule moves the
 check to review time: a ``rose_``-prefixed metric name used anywhere in
 the tree must exist in the declarations catalog, and :class:`MetricSpec`
-itself may only be constructed there.  That keeps the catalog the single
-place to audit bucket edges, label sets, and coverage exemptions.
+itself may only be constructed there (a row of the call-ban table in
+:mod:`.bans`).  That keeps the catalog the single place to audit bucket
+edges, label sets, and coverage exemptions.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.analysis.lint.bans import DECLARATIONS_PATH, ban_scope, banned_calls
 from repro.analysis.lint.diagnostics import Diagnostic
 from repro.analysis.lint.engine import Module, ProjectModel
 from repro.analysis.lint.registry import rule
-
-#: The one module allowed to construct MetricSpec / declare metric names.
-DECLARATIONS_PATH = "repro/obs/declarations.py"
 
 #: Registry methods whose first positional argument is a metric name.
 _RECORD_ATTRS = {"inc", "set", "observe", "value", "total", "advance_to", "series_count"}
@@ -66,35 +65,19 @@ def _declared_names(project: ProjectModel) -> set[str] | None:
     "declarations catalog raises ConfigError at runtime on whichever path "
     "first records it, and a MetricSpec constructed elsewhere splits the "
     "catalog into places no audit will find",
-    paths=("repro/",),
+    **ban_scope("OBS001"),
 )
 def obs001_declared_metrics(module: Module, project: ProjectModel) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    if module.path == DECLARATIONS_PATH:
-        return out
+    # MetricSpec outside the catalog is a call-ban table row; this
+    # visitor adds the undeclared-name half.
+    out = banned_calls(module, "OBS001")
     declared = _declared_names(project)
+    if declared is None:
+        return out
     for node in module.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        callee = module.call_name(node)
-        if callee is not None and callee.split(".")[-1] == "MetricSpec":
-            out.append(
-                Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule="OBS001",
-                    message="MetricSpec constructed outside the declarations "
-                    "catalog",
-                    hint=f"declare the metric in {DECLARATIONS_PATH} and record "
-                    "against it by name",
-                )
-            )
-            continue
-        if declared is None:
-            continue
         if not (
-            isinstance(node.func, ast.Attribute)
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
             and node.func.attr in _RECORD_ATTRS
             and node.args
         ):

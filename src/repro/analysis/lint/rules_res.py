@@ -4,8 +4,9 @@ The supervised sweep loop promises two things the type system cannot
 check: every retry loop terminates (a poison task is quarantined, never
 spun on forever), and every wait is policy-shaped (deterministic,
 bounded backoff from :mod:`repro.sweep.resilience` — not an ad-hoc
-``time.sleep`` sprinkled where a hang was once observed).  These rules
-pin both promises at review time.
+``time.sleep`` sprinkled where a hang was once observed).  RES001 pins
+the first promise here; RES002, a single banned call, is a row of the
+call-ban table in :mod:`.bans`.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ from typing import Iterator
 from repro.analysis.lint.diagnostics import Diagnostic
 from repro.analysis.lint.engine import Module, ProjectModel
 from repro.analysis.lint.registry import rule
-
-#: The one module allowed to call ``time.sleep`` under ``repro/sweep``:
-#: :func:`repro.sweep.resilience.backoff_sleep` (the shared backoff
-#: helper) and :func:`repro.sweep.resilience.wait_for` (supervisor
-#: parking) both live there, giving the sweep a single auditable wait
-#: site.
-BLESSED_SLEEP_MODULE = "repro/sweep/resilience.py"
 
 
 def _own_statements(loop: ast.While) -> Iterator[ast.stmt]:
@@ -87,38 +81,6 @@ def res001_unbounded_loop(module: Module, project: ProjectModel) -> list[Diagnos
                     hint="bound the loop on the RetryPolicy attempt budget "
                     "(repro.sweep.resilience) so poison tasks quarantine "
                     "instead of spinning forever",
-                )
-            )
-    return out
-
-
-@rule(
-    "RES002",
-    "no bare time.sleep in the sweep engine",
-    "an ad-hoc sleep is an unbounded, nondeterministic wait: sweep-side "
-    "waiting must route through the shared backoff helper "
-    "(repro.sweep.resilience.backoff_sleep / wait_for) so every delay is "
-    "policy-bounded and derived from the config key, not from tuning "
-    "folklore",
-    paths=("repro/sweep/",),
-    exclude=(BLESSED_SLEEP_MODULE,),
-)
-def res002_bare_sleep(module: Module, project: ProjectModel) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for node in module.walk():
-        if not isinstance(node, ast.Call):
-            continue
-        if module.call_name(node) == "time.sleep":
-            out.append(
-                Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule="RES002",
-                    message="bare time.sleep() in the sweep engine",
-                    hint="use repro.sweep.resilience.backoff_sleep(policy, key, "
-                    "attempt) between retries, or wait_for(seconds) for "
-                    "supervisor-computed waits",
                 )
             )
     return out

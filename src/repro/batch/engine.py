@@ -98,7 +98,7 @@ class BatchEngine:
         keys = {batch_group_key(c) for c in configs}
         if len(keys) != 1:
             raise BatchIneligible("configs span multiple batch groups")
-        for config in configs:  # repro: allow[PERF001] one-time screening, not the hot path
+        for config in configs:
             ok, reason = batch_eligible(config)
             if not ok:
                 raise BatchIneligible(reason)
@@ -134,7 +134,7 @@ class BatchEngine:
         #: Per-segment left normals, for the signed-offset dot products.
         self._normals = np.column_stack([-arrays.units[:, 1], arrays.units[:, 0]])
 
-        for lane in self.lanes:  # repro: allow[PERF001] one-time per-lane wiring
+        for lane in self.lanes:
             st = lane.cosim.env.dynamics.state
             i = lane.index
             self.dyn.x[i] = st.x
@@ -171,7 +171,7 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def run(self) -> list[MissionResult]:
         """Fly every lane to completion; results in lane order."""
-        for lane in self.lanes:  # repro: allow[PERF001] per-lane protocol setup
+        for lane in self.lanes:
             lane.cosim.synchronizer.configure()
             lane.cosim.rpc.takeoff()
             target = lane.cosim.env.controller.target
@@ -180,7 +180,7 @@ class BatchEngine:
             self.target_lateral[i] = target.v_lateral
             self.target_yaw_rate[i] = target.yaw_rate
             self.target_altitude[i] = target.altitude
-        while True:  # repro: allow[PERF001] round axis, not the batch axis
+        while True:
             active = [lane for lane in self.lanes if lane.result is None]
             if not active:
                 break
@@ -198,10 +198,10 @@ class BatchEngine:
     # -- phase 1: prescan ----------------------------------------------
     def _prescan(self, active: list[_Lane]) -> int:
         max_requests = 0
-        for lane in active:  # repro: allow[PERF001] per-lane packet inspection
+        for lane in active:
             requests = 0
             target = None
-            for packet in lane.cosim.synchronizer._pending_rtl:  # repro: allow[PERF001] packet axis
+            for packet in lane.cosim.synchronizer._pending_rtl:
                 if packet.ptype == PacketType.CAMERA_REQ:
                     requests += 1
                 elif packet.ptype == PacketType.TARGET_CMD:
@@ -228,7 +228,7 @@ class BatchEngine:
         requesting = [lane for lane in active if lane.pending_camera_requests > 0]
         metadata: dict[int, tuple[float, float, float]] = {}
         cnn_items: list[tuple[BatchedCnnPerception, bytes, int, int]] = []
-        for lane in requesting:  # repro: allow[PERF001] per-lane metadata lookup
+        for lane in requesting:
             # Pre-advance ground-truth metadata, from the lane env's
             # course-state cache (written back at the end of the
             # previous round's advance).
@@ -237,13 +237,13 @@ class BatchEngine:
             metadata[lane.index] = (env.sim_time, heading_error, d)
             if isinstance(lane.perception, BatchedCnnPerception):
                 lane.perception.begin_round()
-        for j in range(max_requests):  # repro: allow[PERF001] request index, not the batch axis
+        for j in range(max_requests):
             subset = [lane for lane in requesting if lane.pending_camera_requests > j]
             idx = np.array([lane.index for lane in subset])
             images = kernels.render_lanes(
                 self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
             )
-            for m, lane in enumerate(subset):  # repro: allow[PERF001] per-lane RNG + packaging
+            for m, lane in enumerate(subset):
                 image = lane.cosim.env.camera.finish_frame(images[m])
                 timestamp, heading_error, d = metadata[lane.index]
                 response = {
@@ -302,7 +302,7 @@ class BatchEngine:
             tgt_alt = self.target_altitude[idx]
         goal = self.world.goal_arclength
 
-        for _ in range(self.frames_per_sync):  # repro: allow[PERF001] frame axis, not the batch axis
+        for _ in range(self.frames_per_sync):
             cmd_f = pid_f.update(tgt_f - w.u, dt)
             cmd_l = pid_l.update(tgt_l - w.v, dt)
             cmd_v = pid_v.update(kernels.vertical_errors(tgt_alt, w.z, w.vz), dt)
@@ -323,14 +323,14 @@ class BatchEngine:
                 np.column_stack([new_x, new_y]), self.world
             )
             d_new = np.empty(k)
-            for m in range(k):  # repro: allow[PERF001] serial d uses a 2-vector BLAS dot
+            for m in range(k):  # per lane: the serial d is a 2-vector BLAS dot
                 d_new[m] = float(diff[m] @ self._normals[seg_idx[m]])
             colliding = (wall_d <= p.collision_radius) | (
                 np.abs(d_new) >= self.world.half_width
             )
 
             if colliding.any():
-                for m in np.nonzero(colliding)[0]:  # repro: allow[PERF001] collisions are rare events
+                for m in np.nonzero(colliding)[0]:
                     lane = active[m]
                     if not self.time < w.recovery_until[m]:
                         # QuadrotorDynamics._handle_collision, per lane.
@@ -369,7 +369,7 @@ class BatchEngine:
             xs, ys, zs, yaws = w.x.tolist(), w.y.tolist(), w.z.tolist(), w.yaw.tolist()
             us, vs = w.u.tolist(), w.v.tolist()
             ss, ds = s_new.tolist(), d_new.tolist()
-            for m, lane in enumerate(active):  # repro: allow[PERF001] per-lane trajectory/goal bookkeeping
+            for m, lane in enumerate(active):
                 env = lane.cosim.env
                 env.trajectory.append(
                     TrajectorySample(
@@ -392,7 +392,7 @@ class BatchEngine:
             self.pid_lateral.scatter(idx, pid_l)
             self.pid_vertical.scatter(idx, pid_v)
             self.pid_yaw.scatter(idx, pid_y)
-        for m, lane in enumerate(active):  # repro: allow[PERF001] scalar write-back into lane objects
+        for m, lane in enumerate(active):
             env = lane.cosim.env
             dynamics = env.dynamics
             st = dynamics.state
@@ -417,7 +417,7 @@ class BatchEngine:
 
     # -- phase 5: per-lane synchronizer step ----------------------------
     def _step_lanes(self, active: list[_Lane]) -> None:
-        for lane in active:  # repro: allow[PERF001] protocol/SoC work is inherently per lane
+        for lane in active:
             lane.advance_token = True
             synchronizer = lane.cosim.synchronizer
             failure: str | None = None
@@ -498,17 +498,17 @@ def run_missions_batched(
         raise ValueError("perceptions must parallel configs")
     results: list[MissionResult | None] = [None] * len(configs)
     groups: dict[str, list[int]] = {}
-    for i, config in enumerate(configs):  # repro: allow[PERF001] grouping pass, not the hot path
+    for i, config in enumerate(configs):
         eligible, _reason = batch_eligible(config)
         if eligible:
             groups.setdefault(batch_group_key(config), []).append(i)
         else:
             results[i] = run_mission(config, perception=perceptions[i])
-    for indices in groups.values():  # repro: allow[PERF001] group dispatch, not the hot path
-        for chunk in _chunks(indices, batch_size):  # repro: allow[PERF001] chunk dispatch
+    for indices in groups.values():
+        for chunk in _chunks(indices, batch_size):
             chunk_results = run_batch(
                 [configs[i] for i in chunk], [perceptions[i] for i in chunk]
             )
-            for i, result in zip(chunk, chunk_results):  # repro: allow[PERF001] result scatter
+            for i, result in zip(chunk, chunk_results):
                 results[i] = result
     return [result for result in results if result is not None]

@@ -80,16 +80,16 @@ class BatchedCnnPerception(Perception):
         models coincide; mixed models fall back to per-model sub-batches.
         """
         by_model: dict[int, list[tuple[BatchedCnnPerception, bytes, int, int]]] = {}
-        for perception, raw, height, width in items:  # repro: allow[PERF001] per-frame grouping bookkeeping
+        for perception, raw, height, width in items:
             by_model.setdefault(id(perception.model), []).append(
                 (perception, raw, height, width)
             )
-        for group in by_model.values():  # repro: allow[PERF001] model axis, not the batch axis
+        for group in by_model.values():
             frames = np.concatenate(
                 [_decode(raw, height, width) for _p, raw, height, width in group]
             )
             angular, lateral = group[0][0].model.predict_probs(frames)
-            for i, (perception, raw, _h, _w) in enumerate(group):  # repro: allow[PERF001] per-frame prime delivery
+            for i, (perception, raw, _h, _w) in enumerate(group):
                 perception.prime(raw, _inference(angular[i], lateral[i]))
 
     # -- app-side API ---------------------------------------------------

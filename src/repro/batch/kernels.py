@@ -2,8 +2,9 @@
 
 Every function here advances *all* lanes of a mission batch with one
 vectorized expression per arithmetic step — there are no Python-level
-loops over the batch axis in this module (lint rule PERF001 enforces
-that for the whole ``repro.batch`` package).
+loops over the batch axis in this module.  Throughput is gated by
+measurement, not loop style: the ``fig11-batched`` perfbench workload
+and its CI step (zero serial fallbacks, 16 lanes per round).
 
 The FPV rasterizer is not defined here: :func:`render_lanes` lives in
 :mod:`repro.env.camera`, where the serial camera renders each frame as a
@@ -25,9 +26,8 @@ compare/select) computing the same IEEE-754 result as the scalar
 pinned by the batched-vs-serial oracle.  The operations that do *not*
 vectorize bit-identically (``math.hypot``, the 2-vector BLAS dot in
 :meth:`Polyline.project <repro.env.geometry.Polyline.project>`) stay as
-per-lane scalar loops in :mod:`repro.batch.engine`, each marked with an
-explicit PERF001 waiver; the heading error's ``math.atan2`` is left to
-each lane's :meth:`EnvSimulator.course_state
+per-lane scalar loops in :mod:`repro.batch.engine`; the heading error's
+``math.atan2`` is left to each lane's :meth:`EnvSimulator.course_state
 <repro.env.simulator.EnvSimulator.course_state>`.
 """
 

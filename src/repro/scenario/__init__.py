@@ -12,8 +12,9 @@ bins mission outcomes into a deterministic coverage map, and
 loop on top of :class:`~repro.sweep.runner.SweepRunner`.
 
 Determinism is load-bearing everywhere: all randomness flows through an
-injected, seeded :class:`random.Random` (lint rule SCN001 forbids the
-module-level ``random.*`` / ``np.random.*`` APIs under this package), so
+injected, seeded :class:`random.Random` (lint rule DET001 forbids the
+module-level ``random.*`` / ``np.random.*`` APIs and unseeded
+generators), so
 the same seed and budget reproduce the same corpus, coverage map and
 minimized reproducers byte for byte.
 """

@@ -12,7 +12,7 @@ discipline:
   spawn and velocity perturbation.  Every draw comes from one injected
   :class:`random.Random`; an infeasible draw
   (:class:`~repro.errors.ScenarioError` from the compiler) is simply
-  redrawn.  Lint rule SCN001 keeps module-level RNGs out of this package.
+  redrawn.  Lint rule DET001 keeps module-level RNGs out of this package.
 * *Evaluation* goes through :class:`~repro.sweep.runner.SweepRunner`,
   which preserves task order in its outcomes regardless of worker
   scheduling — so coverage observation (and therefore admission, corpus

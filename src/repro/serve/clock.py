@@ -8,7 +8,8 @@ it explicitly past lease deadlines, and drive scheduler ticks by hand —
 no real sleeping, no flaky timing margins.
 
 Lint rule SRV001 pins the discipline: this module is the only file
-under ``repro/serve/`` allowed to touch ``time.*`` directly.
+under ``repro/serve/`` allowed to read host time (``time.*``,
+``datetime.now``) or sleep directly.
 """
 
 from __future__ import annotations

@@ -210,6 +210,31 @@ class TestDeep001Taint:
         assert "mission_signature" in diag.message
         assert "canon" in diag.message
 
+    def test_os_entropy_rngs_below_root_are_found(self, tmp_path):
+        make_tree(tmp_path, {
+            "repro/sweep/signature.py": """
+                from repro.sweep.canon import canon
+
+                def mission_signature(result):
+                    return canon(result)
+            """,
+            "repro/sweep/canon.py": """
+                import random
+                import numpy as np
+
+                def canon(result):
+                    salt = random.SystemRandom(7).random()
+                    noise = np.random.default_rng().normal()
+                    return (salt, noise, result)
+            """,
+        })
+        report = run_deep(tmp_path, ["DEEP001"])
+        assert [(d.path, d.line) for d in report.active] == [
+            ("repro/sweep/canon.py", 6), ("repro/sweep/canon.py", 7),
+        ]
+        assert "random.SystemRandom()" in report.active[0].message
+        assert "numpy.random.default_rng()" in report.active[1].message
+
     def test_same_hazard_outside_slice_is_ignored(self, tmp_path):
         make_tree(tmp_path, {
             "repro/sweep/signature.py": """

@@ -20,6 +20,7 @@ from repro.analysis.lint import (
     baseline_path_for,
     get_rule,
 )
+from repro.analysis.lint.bans import rows_for
 from repro.cli import main
 from repro.errors import ConfigError
 
@@ -48,9 +49,7 @@ def active_rules(report) -> list[str]:
 class TestRegistry:
     def test_all_families_registered(self):
         families = {r.family for r in all_rules().values()}
-        assert {
-            "DET", "NUM", "PROTO", "CFG", "OBS", "RES", "PERF", "SCN", "SRV",
-        } <= families
+        assert {"DET", "NUM", "PROTO", "CFG", "OBS", "RES", "SRV"} <= families
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -119,6 +118,30 @@ class TestDet001GlobalRng:
             """,
         })
         assert run_lint(tmp_path, rules=["DET001"]).active == []
+
+    def test_os_entropy_generators_are_flagged(self, tmp_path):
+        # SystemRandom cannot be seeded; the seeded constructors called
+        # with no argument seed themselves from OS entropy.
+        make_tree(tmp_path, {
+            "repro/env/entropy.py": """
+                import random
+                import numpy as np
+
+                def generators(seed):
+                    return (
+                        random.SystemRandom(seed),
+                        random.Random(),
+                        np.random.default_rng(),
+                        np.random.SeedSequence(),
+                        np.random.default_rng(seed=seed),
+                    )
+            """,
+        })
+        report = run_lint(tmp_path, rules=["DET001"])
+        assert [(d.line, d.rule) for d in report.active] == [
+            (7, "DET001"), (8, "DET001"), (9, "DET001"), (10, "DET001"),
+        ]
+        assert "random.SystemRandom()" in report.active[0].message
 
 
 class TestDet002WallClock:
@@ -723,70 +746,6 @@ class TestRes002BareSleep:
 
 
 # ---------------------------------------------------------------------------
-# PERF: batched-engine vectorization
-# ---------------------------------------------------------------------------
-class TestPerf001BatchLoops:
-    def test_flags_for_and_while_in_batch_package(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/batch/engine.py": """
-                def advance(lanes):
-                    total = 0
-                    for lane in lanes:
-                        total += lane
-                    while total > 0:
-                        total -= 1
-                    return total
-            """,
-        })
-        report = run_lint(tmp_path, rules=["PERF001"])
-        assert active_rules(report) == ["PERF001", "PERF001"]
-        messages = [d.message for d in report.active]
-        assert any("for loop" in m for m in messages)
-        assert any("while loop" in m for m in messages)
-
-    def test_waived_loop_with_reason_is_clean(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/batch/kernels.py": """
-                def floor(points):
-                    out = []
-                    for lo in range(0, len(points), 256):  # repro: allow[PERF001] fixed cache-block loop
-                        out.append(points[lo])
-                    return out
-            """,
-        })
-        report = run_lint(tmp_path, rules=["PERF001"])
-        assert report.active == []
-        assert [d.rule for d in report.diagnostics if d.waived] == ["PERF001"]
-
-    def test_comprehensions_are_not_flagged(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/batch/engine.py": """
-                def indices(lanes):
-                    return [lane.index for lane in lanes if lane.alive]
-            """,
-        })
-        assert run_lint(tmp_path, rules=["PERF001"]).active == []
-
-    def test_outside_batch_package_is_out_of_scope(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/env/simulator.py": """
-                def step(frames):
-                    for _ in range(frames):
-                        pass
-            """,
-        })
-        assert run_lint(tmp_path, rules=["PERF001"]).active == []
-
-    def test_shipped_batch_package_is_loop_clean(self):
-        # The real repro/batch/ tree must carry a waiver (with a reason)
-        # on every serial loop it keeps.
-        root = Path(__file__).resolve().parent.parent / "src"
-        report = run_lint(root, rules=["PERF001"])
-        assert active_rules(report) == []
-        assert all(d.path.startswith("repro/batch/") for d in report.diagnostics)
-
-
-# ---------------------------------------------------------------------------
 # SRV: serve-layer clock injection
 # ---------------------------------------------------------------------------
 class TestSrv001DirectTime:
@@ -805,6 +764,25 @@ class TestSrv001DirectTime:
         report = run_lint(tmp_path, rules=["SRV001"])
         assert active_rules(report) == ["SRV001", "SRV001"]
         assert "Clock" in report.active[0].hint
+
+    def test_flags_every_host_time_read(self, tmp_path):
+        # The same wall-clock set DET002 bans on simulation paths.
+        source = """
+            import datetime
+            import time
+
+            def stamp():
+                return (datetime.datetime.now(), time.process_time(), time.time_ns())
+        """
+        make_tree(tmp_path, {
+            "repro/serve/scheduler.py": source,
+            "repro/serve/clock.py": source,
+        })
+        report = run_lint(tmp_path, rules=["SRV001"])
+        assert [(d.path, d.rule) for d in report.active] == [
+            ("repro/serve/scheduler.py", "SRV001"),
+        ] * 3
+        assert "datetime.datetime.now()" in report.active[0].message
 
     def test_clock_module_is_blessed(self, tmp_path):
         make_tree(tmp_path, {
@@ -868,6 +846,12 @@ class TestSrv001DirectTime:
 
 
 class TestScn001GlobalRng:
+    """DET001 over the scenario/fuzzing package (the former SCN001 cases).
+
+    The fuzzer's corpus is replayable only while every draw comes from
+    the campaign's injected seeded ``random.Random``.
+    """
+
     def test_flags_module_level_rng_calls(self, tmp_path):
         make_tree(tmp_path, {
             "repro/scenario/mutators.py": """
@@ -882,8 +866,8 @@ class TestScn001GlobalRng:
                     return np.random.normal(size=shape)
             """,
         })
-        report = run_lint(tmp_path, rules=["SCN001"])
-        assert active_rules(report) == ["SCN001", "SCN001"]
+        report = run_lint(tmp_path, rules=["DET001"])
+        assert active_rules(report) == ["DET001", "DET001"]
         assert "seeded" in report.active[0].hint
 
     def test_injected_generator_is_clean(self, tmp_path):
@@ -893,7 +877,7 @@ class TestScn001GlobalRng:
                     return value + rng.uniform(-1.0, 1.0)
             """,
         })
-        assert run_lint(tmp_path, rules=["SCN001"]).active == []
+        assert run_lint(tmp_path, rules=["DET001"]).active == []
 
     def test_seeded_constructors_are_allowed(self, tmp_path):
         make_tree(tmp_path, {
@@ -909,7 +893,7 @@ class TestScn001GlobalRng:
                     return np.random.default_rng(seed)
             """,
         })
-        assert run_lint(tmp_path, rules=["SCN001"]).active == []
+        assert run_lint(tmp_path, rules=["DET001"]).active == []
 
     def test_outside_scenario_is_out_of_scope(self, tmp_path):
         make_tree(tmp_path, {
@@ -920,15 +904,61 @@ class TestScn001GlobalRng:
                     random.seed(seed)
             """,
         })
-        assert run_lint(tmp_path, rules=["SCN001"]).active == []
+        assert run_lint(tmp_path, rules=["DET001"]).active == []
 
     def test_shipped_scenario_tree_is_rng_clean(self):
         root = Path(__file__).resolve().parent.parent / "src"
-        report = run_lint(root, rules=["SCN001"])
+        report = run_lint(root, rules=["DET001"])
         assert active_rules(report) == []
-        # Every draw in the shipped fuzzer flows through the injected
-        # random.Random; nothing is even waived.
+        # Every draw in the shipped tree (the fuzzer included) flows
+        # through an injected seeded generator; nothing is even waived.
         assert report.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# The call-ban table and its two readers
+# ---------------------------------------------------------------------------
+def _rng_and_clock_calls() -> list[str]:
+    """One call per wall-clock and global-RNG entry of the table."""
+    calls: list[str] = []
+    for row in rows_for("DET001") + rows_for("DET002"):
+        calls += sorted(row.names) + sorted(row.seeded)
+        calls += [prefix + "random" for prefix in row.prefixes]
+    return calls
+
+
+class TestCallBanTable:
+    @pytest.mark.parametrize("call", _rng_and_clock_calls())
+    def test_lint_and_taint_agree(self, tmp_path, call):
+        # Called with no argument, so seeded constructors count too.
+        module = call.split(".")[0]
+        make_tree(tmp_path, {
+            "repro/core/probe.py": f"""
+                import {module}
+
+                def probe():
+                    return {call}()
+            """,
+            "repro/sweep/signature.py": """
+                from repro.sweep.canon import canon
+
+                def mission_signature(result):
+                    return canon(result)
+            """,
+            "repro/sweep/canon.py": f"""
+                import {module}
+
+                def canon(result):
+                    return ({call}(), result)
+            """,
+        })
+        lint = run_lint(tmp_path, rules=["DET001", "DET002"])
+        [finding] = [d for d in lint.active if d.path == "repro/core/probe.py"]
+        assert finding.rule in ("DET001", "DET002")
+        assert f"{call}()" in finding.message
+        [hazard] = run_lint(tmp_path, rules=["DEEP001"]).active
+        assert hazard.path == "repro/sweep/canon.py"
+        assert f"{call}()" in hazard.message and "mission_signature" in hazard.message
 
 
 # ---------------------------------------------------------------------------
