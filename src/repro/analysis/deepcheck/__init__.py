@@ -22,8 +22,8 @@ dataflow passes registered as deep project rules:
   (:data:`~.protocol.PROTOCOL_MACHINE`), the static groundwork for the
   backend-pluggable protocol refactor (ROADMAP item 5).
 
-Findings flow through the same diagnostics/waiver/baseline machinery as
-the per-file rules and export to SARIF (:mod:`.sarif`) for CI
+Findings flow through the same diagnostics and inline-waiver machinery
+as the per-file rules and export to SARIF (:mod:`.sarif`) for CI
 code-scanning upload.
 """
 

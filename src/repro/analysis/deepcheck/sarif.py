@@ -6,8 +6,8 @@ inline on changed lines.  The export is deterministic — diagnostics are
 sorted, JSON keys are sorted — so the artifact diffs cleanly between
 runs, the same stability contract the text/JSON renderers keep.
 
-Suppressed findings are carried as SARIF ``suppressions`` (kind
-``inSource`` for inline waivers, ``external`` for baseline entries)
+Waived findings are carried as SARIF ``suppressions`` (kind
+``inSource``: the inline waiver is the only suppression mechanism)
 rather than dropped, mirroring :class:`~.diagnostics.Diagnostic`'s
 everything-visible philosophy.
 """
@@ -57,17 +57,10 @@ def _result(diag: Diagnostic) -> dict[str, Any]:
             }
         ],
     }
-    suppressions: list[dict[str, str]] = []
     if diag.waived:
-        suppressions.append(
+        result["suppressions"] = [
             {"kind": "inSource", "justification": "inline '# repro: allow' waiver"}
-        )
-    if diag.baselined:
-        suppressions.append(
-            {"kind": "external", "justification": "committed lint baseline entry"}
-        )
-    if suppressions:
-        result["suppressions"] = suppressions
+        ]
     if diag.hint:
         result["message"]["markdown"] = f"{diag.message}\n\n**Fix:** {diag.hint}"
     return result

@@ -35,13 +35,13 @@ Every rule of the form "call C is banned under path P except in module
 M" is a row of the one call-ban table in :mod:`.bans`, which the
 DEEP001 taint pass reads too.
 
-Diagnostics are suppressed either inline (``# repro: allow[RULE]`` on
-the flagged line or the line above) or through a committed baseline file
-(``lint-baseline.json`` at the repository root) for intentional,
-documented leftovers.
+Diagnostics are suppressed one way only: an inline
+``# repro: allow[RULE] reason`` on the flagged line or the line above,
+naming every rule it excuses.  The waiver moves with the code it
+excuses, and ``--check-waivers`` reports one that excuses nothing
+(WAIVE001).
 """
 
-from repro.analysis.lint.baseline import Baseline, baseline_path_for
 from repro.analysis.lint.diagnostics import Diagnostic, render_json, render_text
 from repro.analysis.lint.engine import LintEngine, LintReport, Module, ProjectModel
 from repro.analysis.lint.registry import (
@@ -68,7 +68,6 @@ from repro.analysis.lint import (  # noqa: E402  (registration side effect)
 from repro.analysis import deepcheck  # noqa: E402,F401  (registers DEEP rules)
 
 __all__ = [
-    "Baseline",
     "Diagnostic",
     "LintEngine",
     "LintReport",
@@ -76,7 +75,6 @@ __all__ = [
     "ProjectModel",
     "Rule",
     "all_rules",
-    "baseline_path_for",
     "default_rules",
     "get_rule",
     "project_rule",

@@ -142,8 +142,8 @@ CALL_BANS: tuple[CallBan, ...] = (
         hazard="wall-clock read {call}()",
         where="on a simulation path",
         hint="use sim time or route through StageTimer "
-        "(repro/core/timing.py); observational uses (watchdog deadlines, "
-        "stage accounting) are waived inline or recorded in the baseline",
+        "(repro/core/timing.py); observational uses (watchdog and I/O "
+        "deadlines, stage accounting) are waived inline with a reason",
     ),
     CallBan(
         rule="RES002",

@@ -1,10 +1,10 @@
 """Diagnostic records and their text/JSON renderings.
 
 A :class:`Diagnostic` is one finding: rule id, file, line, message, and
-a fix hint.  Suppression state (``waived`` by an inline comment,
-``baselined`` by the committed baseline file) is recorded on the
-diagnostic rather than by dropping it, so reports can show *everything*
-the analyzer saw while exit codes consider only active findings.
+a fix hint.  Suppression state (``waived`` by an inline
+``# repro: allow[RULE]`` comment) is recorded on the diagnostic rather
+than by dropping it, so reports can show *everything* the analyzer saw
+while exit codes consider only active findings.
 """
 
 from __future__ import annotations
@@ -25,24 +25,19 @@ class Diagnostic:
     hint: str = ""  # how to fix (or how to waive when intentional)
     col: int = 0  # 0-based, best effort
     waived: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def active(self) -> bool:
         """True when the finding counts toward a failing exit code."""
-        return not (self.waived or self.baselined)
+        return not self.waived
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}"
 
-    def suppressed(self, *, waived: bool = False, baselined: bool = False) -> "Diagnostic":
-        """A copy with suppression flags OR-ed in."""
-        return replace(
-            self,
-            waived=self.waived or waived,
-            baselined=self.baselined or baselined,
-        )
+    def suppressed(self, *, waived: bool = False) -> "Diagnostic":
+        """A copy with the waiver flag OR-ed in."""
+        return replace(self, waived=self.waived or waived)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -53,7 +48,6 @@ class Diagnostic:
             "message": self.message,
             "hint": self.hint,
             "waived": self.waived,
-            "baselined": self.baselined,
         }
 
 
@@ -63,11 +57,7 @@ def render_text(diagnostics: list[Diagnostic], *, show_suppressed: bool = False)
     for diag in sorted(diagnostics):
         if not diag.active and not show_suppressed:
             continue
-        suffix = ""
-        if diag.waived:
-            suffix = "  (waived)"
-        elif diag.baselined:
-            suffix = "  (baselined)"
+        suffix = "  (waived)" if diag.waived else ""
         hint = f"  [hint: {diag.hint}]" if diag.hint and diag.active else ""
         lines.append(f"{diag.location}: {diag.rule} {diag.message}{hint}{suffix}")
     return "\n".join(lines)
@@ -82,7 +72,6 @@ def render_json(diagnostics: list[Diagnostic]) -> str:
             "total": len(diagnostics),
             "active": len(active),
             "waived": sum(1 for d in diagnostics if d.waived),
-            "baselined": sum(1 for d in diagnostics if d.baselined),
         },
         "diagnostics": [d.as_dict() for d in sorted(diagnostics)],
     }

@@ -3,7 +3,7 @@
 The engine scans every ``*.py`` under a *source root* (the directory that
 contains the top-level package, e.g. ``src/``), so module paths are
 repo-relative POSIX strings like ``repro/core/transport.py`` — the same
-vocabulary rule scopes, waivers, and baseline entries use.  Fixture
+vocabulary rule scopes and diagnostics use.  Fixture
 trees in tests reproduce that layout under a temp directory and get the
 exact same behaviour.
 
@@ -13,8 +13,9 @@ Two passes:
    introspect: enum definitions (member names), dataclass definitions
    (field names), and a function index;
 2. **rules** — run every registered rule over every module in its scope,
-   then mark each diagnostic ``waived`` (inline ``# repro: allow[RULE]``)
-   or ``baselined`` (committed baseline file) as appropriate.
+   then mark each diagnostic ``waived`` when an inline
+   ``# repro: allow[RULE]`` names its rule — the one suppression
+   mechanism.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.diagnostics import Diagnostic
 from repro.analysis.lint.registry import Rule, all_rules, default_rules
 
 #: Inline waiver: ``# repro: allow[DET002]`` or ``# repro: allow[DET002,NUM001]``
-#: on the flagged line or the line directly above it.  ``allow[*]`` waives
-#: every rule on that line (reserved for generated code).
-_WAIVER_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_*,\s]+)\]")
+#: on the flagged line or the line directly above it.
+_WAIVER_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 
 _ENUM_BASES = {"Enum", "IntEnum", "IntFlag", "Flag", "StrEnum"}
 
@@ -78,7 +77,7 @@ class Module:
         #: local name -> dotted origin ("np" -> "numpy",
         #: "perf_counter" -> "time.perf_counter", "time" -> "time").
         self.aliases: dict[str, str] = _import_aliases(tree)
-        #: 1-based line -> set of waived rule ids (may contain "*").
+        #: 1-based line -> set of waived rule ids.
         self.waivers: dict[int, set[str]] = _waivers(source, self.lines)
         #: Waiver lines that suppressed at least one diagnostic this run
         #: (fed by :meth:`is_waived`; unconsumed lines become WAIVE001).
@@ -117,7 +116,7 @@ class Module:
         """
         for at in (line, line - 1):
             rules = self.waivers.get(at)
-            if rules and (rule_id in rules or "*" in rules):
+            if rules and rule_id in rules:
                 self.consumed_waivers.add(at)
                 return True
         return False
@@ -267,8 +266,6 @@ class LintReport:
 
     root: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Baseline entries that matched nothing (stale; safe to prune).
-    stale_baseline: list[dict[str, object]] = field(default_factory=list)
     files_scanned: int = 0
     parse_errors: list[str] = field(default_factory=list)
 
@@ -285,11 +282,8 @@ class LintReport:
             f"{self.files_scanned} file(s) scanned, "
             f"{len(self.diagnostics)} finding(s): "
             f"{len(self.active)} active, "
-            f"{sum(1 for d in self.diagnostics if d.waived)} waived, "
-            f"{sum(1 for d in self.diagnostics if d.baselined)} baselined"
+            f"{sum(1 for d in self.diagnostics if d.waived)} waived"
         ]
-        if self.stale_baseline:
-            parts.append(f"{len(self.stale_baseline)} stale baseline entr(y/ies)")
         if self.parse_errors:
             parts.append(f"{len(self.parse_errors)} unparsable file(s)")
         return "; ".join(parts)
@@ -301,16 +295,17 @@ class LintEngine:
     ``deep=True`` adds the registered whole-program project rules (the
     deepcheck passes) to the default per-module set; an explicit
     ``rules`` list is always used as-is.  ``check_waivers=True`` turns
-    inline waivers that suppressed nothing into WAIVE001 findings —
-    meaningful only when the full rule set runs (a waiver for an
-    unselected rule is not stale), so it is opt-in.
+    inline waivers that suppressed nothing into WAIVE001 findings.  A
+    waiver is judged only when every registered rule it names ran in
+    this invocation, so any rule subset (``--rule``, the non-deep
+    default) gives a sound verdict; a waiver naming an unknown rule id
+    is always judged, and always stale.
     """
 
     def __init__(
         self,
         root: str | Path,
         rules: Iterable[Rule] | None = None,
-        baseline: Baseline | None = None,
         deep: bool = False,
         check_waivers: bool = False,
     ):
@@ -321,7 +316,6 @@ class LintEngine:
             self.rules = list(all_rules().values())
         else:
             self.rules = list(default_rules().values())
-        self.baseline = baseline if baseline is not None else Baseline.empty()
         self.check_waivers = check_waivers
 
     # ------------------------------------------------------------------
@@ -341,12 +335,12 @@ class LintEngine:
         return ProjectModel(modules), errors
 
     def run(self) -> LintReport:
-        """Parse, run every rule, apply waivers and the baseline.
+        """Parse, run every rule, apply inline waivers.
 
         Module rules run per file, project rules once over the whole
-        model; both funnel through the same waiver/baseline suppression.
+        model; both funnel through the same waiver suppression.
         Diagnostics are sorted by ``(path, line, rule, ...)`` so output
-        (and the baseline file) is stable across filesystem walk order.
+        is stable across filesystem walk order.
         """
         project, errors = self.load()
         report = LintReport(
@@ -366,21 +360,18 @@ class LintEngine:
             for diag in rule.check_project(project):
                 report.diagnostics.append(self._suppress(diag, project))
         if self.check_waivers:
-            for diag in _stale_waivers(project):
-                # Stale-waiver findings can be baselined but not waived:
-                # a waiver that waives its own staleness would never rot.
-                report.diagnostics.append(
-                    diag.suppressed(baselined=self.baseline.matches(diag))
-                )
+            # Stale-waiver findings are never suppressed: a waiver that
+            # waived its own staleness would never rot.
+            ran = {rule.id for rule in self.rules} | {WAIVE001}
+            report.diagnostics.extend(_stale_waivers(project, ran))
         report.diagnostics.sort()
-        report.stale_baseline = self.baseline.stale()
         return report
 
     def _suppress(self, diag: Diagnostic, project: ProjectModel) -> Diagnostic:
-        """Apply inline-waiver and baseline state to one finding."""
+        """Apply inline-waiver state to one finding."""
         module = project.by_path.get(diag.path)
         waived = module.is_waived(diag.rule, diag.line) if module is not None else False
-        return diag.suppressed(waived=waived, baselined=self.baseline.matches(diag))
+        return diag.suppressed(waived=waived)
 
 
 #: Stale-waiver rule id (implemented by the engine, not a rule function,
@@ -388,10 +379,17 @@ class LintEngine:
 WAIVE001 = "WAIVE001"
 
 
-def _stale_waivers(project: ProjectModel) -> Iterator[Diagnostic]:
-    """WAIVE001 findings: inline waivers that suppressed nothing."""
+def _stale_waivers(project: ProjectModel, ran: set[str]) -> Iterator[Diagnostic]:
+    """WAIVE001 findings: inline waivers that suppressed nothing.
+
+    A waiver naming a registered rule outside ``ran`` is not judged —
+    its rule never had the chance to consume it.
+    """
+    skipped = set(all_rules()) - ran
     for module in project.modules:
         for line in sorted(set(module.waivers) - module.consumed_waivers):
+            if module.waivers[line] & skipped:
+                continue
             rules = ",".join(sorted(module.waivers[line]))
             yield Diagnostic(
                 path=module.path,

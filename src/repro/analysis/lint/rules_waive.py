@@ -4,15 +4,13 @@ An inline ``# repro: allow[RULE]`` is a standing claim that the flagged
 code is intentional.  When the code moves or gets fixed, the comment
 outlives the finding and silently pre-excuses the *next* violation that
 lands on that line.  WAIVE001 closes the loop: a waiver that suppressed
-nothing in a full-rule-set run is itself a finding.
+nothing, although every rule it names ran, is itself a finding — and
+one no waiver can excuse.
 
 The detection lives in the engine (``check_waivers=True`` /
 ``lint --check-waivers``) because staleness is only known after every
 other rule has run and consumed its waivers; this module registers the
-rule's identity and catalog entry.  Baseline staleness has the same
-story — unmatched entries are reported per run and ``--prune-baseline``
-rewrites the file — but needs no rule id since the baseline file is not
-source code.
+rule's identity and catalog entry.
 """
 
 from __future__ import annotations

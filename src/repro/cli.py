@@ -18,7 +18,7 @@ flags, ``run-all.sh``) with three subcommands:
   the demo set exercises the whole declared metric catalog;
 * ``lint``   — static analysis for determinism/protocol/cache-key
   soundness (``repro.analysis.lint``): DET/NUM/PROTO/CFG/OBS rule
-  families, inline ``# repro: allow[RULE]`` waivers, committed baseline;
+  families, suppressed only by inline ``# repro: allow[RULE]`` waivers;
 * ``serve``  — boot the sweep service: a JSON-over-HTTP API in front of
   the lease/steal shard scheduler (``repro.serve``), journaled crash-safe
   and bit-identical to serial sweeps;
@@ -474,10 +474,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import repro
     from repro.analysis.deepcheck import render_sarif
     from repro.analysis.lint import (
-        Baseline,
         LintEngine,
         all_rules,
-        baseline_path_for,
         default_rules,
         render_json,
         render_text,
@@ -516,36 +514,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         selected = list(default_rules().values())
 
-    baseline_path = Path(args.baseline) if args.baseline else baseline_path_for(root)
-    if args.write_baseline:
-        report = LintEngine(
-            root,
-            rules=selected,
-            baseline=Baseline.empty(),
-            check_waivers=args.check_waivers,
-        ).run()
-        baseline = Baseline.from_diagnostics(report.diagnostics, path=baseline_path)
-        written = baseline.write()
-        print(f"wrote {len(baseline)} baseline entr(y/ies) to {written}")
-        return 0
-
-    baseline = Baseline.empty() if args.no_baseline else Baseline.load(baseline_path)
-    report = LintEngine(
-        root, rules=selected, baseline=baseline, check_waivers=args.check_waivers
-    ).run()
-
-    if args.prune_baseline:
-        if args.no_baseline:
-            print("error: --prune-baseline conflicts with --no-baseline",
-                  file=sys.stderr)
-            return 2
-        pruned = baseline.pruned()
-        dropped = len(baseline) - len(pruned)
-        if dropped:
-            written = pruned.write()
-            print(f"pruned {dropped} stale baseline entr(y/ies) from {written}")
-        else:
-            print("baseline has no stale entries; nothing to prune")
+    report = LintEngine(root, rules=selected, check_waivers=args.check_waivers).run()
 
     if args.format == "sarif":
         print(render_sarif(report.diagnostics))
@@ -559,11 +528,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(rendered)
         for error in report.parse_errors:
             print(error)
-        for entry in report.stale_baseline:
-            print(
-                f"stale baseline entry: {entry['rule']} at "
-                f"{entry['path']}:{entry['line']} (matched nothing; prune it)"
-            )
         print(report.describe())
     return 0 if report.ok else 1
 
@@ -922,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
         "PROTO, CFG) over a source tree.  --deep adds the whole-program "
         "semantic passes (DEEP001 determinism taint, DEEP002 fork/thread "
         "races, DEEP003 protocol conformance).  Exit 0 when no active "
-        "diagnostics remain (inline '# repro: allow[RULE]' waivers and the "
-        "committed baseline suppress accepted findings), 1 otherwise.",
+        "diagnostics remain (an inline '# repro: allow[RULE] reason' waiver "
+        "is the only way to suppress a finding), 1 otherwise.",
     )
     lint.add_argument(
         "path",
@@ -951,35 +915,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to the named rule(s); repeatable",
     )
     lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file (default: lint-baseline.json beside the tree)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true", help="ignore the baseline file"
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept every current finding into the baseline file and exit",
-    )
-    lint.add_argument(
         "--check-waivers",
         action="store_true",
         help="report inline waivers that suppress nothing as WAIVE001 "
-        "(meaningful when the full rule set runs)",
-    )
-    lint.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline file keeping only entries a finding "
-        "still matches",
+        "(a waiver is judged only when every rule it names ran)",
     )
     lint.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also print waived/baselined findings in text output",
+        help="also print waived findings in text output",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"

@@ -65,12 +65,12 @@ class Transport:
 
     def recv_blocking(self, timeout: float = 5.0) -> DataPacket:
         """Wait for the next packet; raises on timeout."""
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + timeout  # repro: allow[DET002] I/O deadline
         while True:
             packet = self.recv()
             if packet is not None:
                 return packet
-            if time.monotonic() > deadline:
+            if time.monotonic() > deadline:  # repro: allow[DET002] I/O deadline
                 raise TransportError(f"no packet within {timeout}s")
             time.sleep(0.0005)
 
@@ -148,7 +148,7 @@ class TcpTransport(Transport):
             raise TransportError("send on closed transport")
         self.bytes_sent += len(wire)
         self.packets_sent += 1
-        deadline = time.monotonic() + self.send_timeout
+        deadline = time.monotonic() + self.send_timeout  # repro: allow[DET002] I/O deadline
         view = memoryview(wire)
         while view:
             try:
@@ -156,7 +156,7 @@ class TcpTransport(Transport):
             except BlockingIOError:
                 # Kernel send buffer full: wait for writability with a
                 # bounded deadline instead of busy-spinning.
-                remaining = deadline - time.monotonic()
+                remaining = deadline - time.monotonic()  # repro: allow[DET002] I/O deadline
                 if remaining <= 0:
                     raise TransportError(
                         f"TCP send stalled for {self.send_timeout}s (peer not reading)"

@@ -185,7 +185,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(encoded)
 
     def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length", "0") or "0")
+        header = self.headers.get("Content-Length", "0") or "0"
+        if not header.strip().isdigit():
+            # The request body cannot be framed, so neither can the next
+            # request on this connection.
+            self.close_connection = True
+            raise ServeError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length == 0:
             return None
         raw = self.rfile.read(length)

@@ -25,6 +25,7 @@ existing job instead of re-running it — idempotent submission for free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -53,6 +54,11 @@ class JobParams:
     slice (``ceil(tasks / shards)``) and how many shard workers the
     threaded host spins up.  The remaining knobs are passed through to
     each shard's supervised :class:`~repro.sweep.runner.SweepRunner`.
+
+    Types are checked as strictly as ranges: the params arrive as JSON,
+    and a value a shard cannot run (``slice_size=1.5``,
+    ``task_timeout=0``) must be refused at submission — once journaled,
+    it would kill every shard thread that leases the job, on every boot.
     """
 
     shards: int = 2
@@ -64,18 +70,13 @@ class JobParams:
     lease_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ServeError(f"shards must be >= 1, got {self.shards}")
-        if self.slice_size is not None and self.slice_size < 1:
-            raise ServeError(f"slice_size must be >= 1, got {self.slice_size}")
-        if self.workers < 1:
-            raise ServeError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_size < 1:
-            raise ServeError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_attempts < 1:
-            raise ServeError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.lease_seconds <= 0:
-            raise ServeError(f"lease_seconds must be > 0, got {self.lease_seconds}")
+        for name in ("shards", "workers", "batch_size", "max_attempts"):
+            _check_count(name, getattr(self, name))
+        if self.slice_size is not None:
+            _check_count("slice_size", self.slice_size)
+        if self.task_timeout is not None:
+            _check_seconds("task_timeout", self.task_timeout)
+        _check_seconds("lease_seconds", self.lease_seconds)
 
     def slice_for(self, task_count: int) -> int:
         """Tasks handed out per claim: explicit size, or an even shard cut."""
@@ -101,6 +102,22 @@ class JobParams:
             return cls(**known)
         except TypeError as exc:  # pragma: no cover - defensive
             raise ServeError(f"invalid job params: {exc}") from exc
+
+
+def _check_count(name: str, value: object) -> None:
+    """A count knob is an ``int`` >= 1 (``True`` and ``2.0`` are not ints)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ServeError(f"{name} must be >= 1, got {value}")
+
+
+def _check_seconds(name: str, value: object) -> None:
+    """A duration knob is a finite number > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ServeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise ServeError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

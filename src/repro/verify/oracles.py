@@ -815,17 +815,16 @@ def _oracle_obs_snapshot() -> list[Divergence]:
 @oracle(
     "lint-clean",
     "repro.analysis.lint over the shipped tree vs. an empty report: every "
-    "static-analysis finding is fixed, waived inline, or baselined",
+    "static-analysis finding is fixed or waived inline",
 )
 def _oracle_lint_clean() -> list[Divergence]:
     # Imported here (not module scope) so a broken lint package fails its
     # own oracle without taking down the rest of the registry.
     import repro
-    from repro.analysis.lint import Baseline, LintEngine, baseline_path_for
+    from repro.analysis.lint import LintEngine
 
     root = Path(repro.__file__).resolve().parent.parent
-    baseline = Baseline.load(baseline_path_for(root))
-    report = LintEngine(root, baseline=baseline).run()
+    report = LintEngine(root).run()
     out = [
         Divergence(
             site="lint-clean",
@@ -835,15 +834,6 @@ def _oracle_lint_clean() -> list[Divergence]:
         )
         for diag in report.active
     ]
-    out.extend(
-        Divergence(
-            site="lint-clean",
-            field=f"{entry['path']}:{entry['line']}",
-            expected="a finding matching this baseline entry",
-            actual="<stale baseline entry>",
-        )
-        for entry in report.stale_baseline
-    )
     out.extend(
         Divergence(
             site="lint-clean",
@@ -864,11 +854,10 @@ def _oracle_lint_clean() -> list[Divergence]:
 )
 def _oracle_deepcheck_clean() -> list[Divergence]:
     import repro
-    from repro.analysis.lint import Baseline, LintEngine, baseline_path_for
+    from repro.analysis.lint import LintEngine
 
     root = Path(repro.__file__).resolve().parent.parent
-    baseline = Baseline.load(baseline_path_for(root))
-    report = LintEngine(root, baseline=baseline, deep=True, check_waivers=True).run()
+    report = LintEngine(root, deep=True, check_waivers=True).run()
     return [
         Divergence(
             site="deepcheck-clean",

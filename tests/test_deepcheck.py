@@ -23,7 +23,7 @@ from repro.analysis.deepcheck import (
     module_name,
     render_sarif,
 )
-from repro.analysis.lint import Baseline, LintEngine, baseline_path_for, get_rule
+from repro.analysis.lint import LintEngine, get_rule
 from repro.analysis.lint.engine import ProjectModel
 
 
@@ -41,8 +41,8 @@ def load_model(root: Path) -> ProjectModel:
     return project
 
 
-def run_deep(root: Path, rules: list[str], baseline: Baseline | None = None):
-    return LintEngine(root, rules=[get_rule(r) for r in rules], baseline=baseline).run()
+def run_deep(root: Path, rules: list[str]):
+    return LintEngine(root, rules=[get_rule(r) for r in rules]).run()
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +546,8 @@ REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 class TestShippedTree:
     def test_deep_lint_clean_and_fast(self):
-        baseline = Baseline.load(baseline_path_for(REPO_SRC))
         started = time.monotonic()
-        report = LintEngine(
-            REPO_SRC, baseline=baseline, deep=True, check_waivers=True
-        ).run()
+        report = LintEngine(REPO_SRC, deep=True, check_waivers=True).run()
         elapsed = time.monotonic() - started
         assert report.ok, "\n".join(
             f"{d.path}:{d.line} {d.rule} {d.message}" for d in report.active

@@ -8,21 +8,19 @@ the shipped tree.
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import (
-    Baseline,
     LintEngine,
     all_rules,
-    baseline_path_for,
     get_rule,
 )
 from repro.analysis.lint.bans import rows_for
 from repro.cli import main
-from repro.errors import ConfigError
 
 
 def make_tree(root: Path, files: dict[str, str]) -> Path:
@@ -34,9 +32,9 @@ def make_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def run_lint(root: Path, rules: list[str] | None = None, baseline: Baseline | None = None):
+def run_lint(root: Path, rules: list[str] | None = None):
     selected = [get_rule(r) for r in rules] if rules else None
-    return LintEngine(root, rules=selected, baseline=baseline).run()
+    return LintEngine(root, rules=selected).run()
 
 
 def active_rules(report) -> list[str]:
@@ -591,22 +589,6 @@ class TestObs001DeclaredMetrics:
         })
         assert run_lint(tmp_path, rules=["OBS001"]).active == []
 
-    def test_finding_can_be_baselined(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/obs/declarations.py": _DECLARATIONS_SOURCE,
-            "repro/core/synchronizer.py": """
-                def step(registry):
-                    registry.inc("rose_legacy_total")
-            """,
-        })
-        report = run_lint(tmp_path, rules=["OBS001"])
-        baseline = Baseline.from_diagnostics(
-            report.diagnostics, path=tmp_path / "lint-baseline.json"
-        )
-        rerun = run_lint(tmp_path, rules=["OBS001"], baseline=baseline)
-        assert rerun.active == []
-        assert [d.rule for d in rerun.diagnostics if d.baselined] == ["OBS001"]
-
 
 # ---------------------------------------------------------------------------
 # RES: resilience rules
@@ -962,7 +944,7 @@ class TestCallBanTable:
 
 
 # ---------------------------------------------------------------------------
-# Waivers and baseline
+# Waivers
 # ---------------------------------------------------------------------------
 class TestWaivers:
     def test_inline_waiver_on_flagged_line(self, tmp_path):
@@ -1001,17 +983,6 @@ class TestWaivers:
             """,
         })
         assert active_rules(run_lint(tmp_path, rules=["DET002"])) == ["DET002"]
-
-    def test_star_waiver_covers_everything(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/core/link.py": """
-                import time
-
-                def stamp():
-                    return time.time()  # repro: allow[*]
-            """,
-        })
-        assert run_lint(tmp_path, rules=["DET002"]).active == []
 
 
 class TestStaleWaivers:
@@ -1064,22 +1035,47 @@ class TestStaleWaivers:
         # A waiver cannot excuse its own staleness — it would never rot.
         assert active_rules(self._run(tmp_path, ["DET002"])) == ["WAIVE001"]
 
-    def test_stale_waiver_can_be_baselined(self, tmp_path):
+    def test_waiver_for_a_rule_that_did_not_run_is_not_judged(self, tmp_path):
         make_tree(tmp_path, {
             "repro/core/link.py": """
+                import time
+
                 def stamp():
-                    return 0  # repro: allow[DET002]
+                    return time.time()  # repro: allow[DET002] host time by design
             """,
         })
-        baseline = Baseline(entries=[
-            {"rule": "WAIVE001", "path": "repro/core/link.py", "line": 3},
-        ])
-        report = LintEngine(
-            tmp_path, rules=[get_rule("DET002")], baseline=baseline,
-            check_waivers=True,
-        ).run()
-        assert report.active == []
-        assert [d.baselined for d in report.diagnostics] == [True]
+        # DET002 never ran, so nothing says whether its waiver still bites.
+        assert self._run(tmp_path, ["DET001"]).diagnostics == []
+
+    def test_waiver_naming_an_unknown_rule_is_judged(self, tmp_path):
+        make_tree(tmp_path, {
+            "repro/core/link.py": """
+                import time
+
+                def stamp():
+                    return time.time()  # repro: allow[DET0O2] typo
+            """,
+        })
+        [diag] = self._run(tmp_path, ["DET001"]).active
+        assert diag.rule == "WAIVE001"
+        assert "allow[DET0O2]" in diag.message
+
+    def test_deep_waiver_passes_the_lint_and_deepcheck_modes(self, tmp_path, capsys):
+        root = make_tree(tmp_path / "src", {
+            "repro/sweep/runner.py": """
+                _CACHE = {}
+
+                def _execute_task(task):
+                    _CACHE[task.name] = task  # repro: allow[DEEP002] fixture
+                    return task
+            """,
+        })
+        # CI's lint job runs without --deep, its deepcheck job with it;
+        # a legitimate DEEP waiver must pass both.
+        assert main(["lint", str(root), "--check-waivers"]) == 0
+        assert main(["lint", str(root), "--deep", "--check-waivers"]) == 0
+        out = capsys.readouterr().out
+        assert "0 active, 1 waived" in out
 
     def test_without_flag_stale_waivers_stay_silent(self, tmp_path):
         make_tree(tmp_path, {
@@ -1089,61 +1085,6 @@ class TestStaleWaivers:
             """,
         })
         assert run_lint(tmp_path, rules=["DET002"]).diagnostics == []
-
-
-class TestBaseline:
-    def _tree(self, tmp_path):
-        return make_tree(tmp_path / "src", {
-            "repro/core/link.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-            """,
-        })
-
-    def test_baselined_finding_suppressed_not_hidden(self, tmp_path):
-        root = self._tree(tmp_path)
-        first = run_lint(root, rules=["DET002"])
-        baseline = Baseline.from_diagnostics(first.diagnostics)
-        report = run_lint(root, rules=["DET002"], baseline=baseline)
-        assert report.active == [] and report.ok
-        assert [d.baselined for d in report.diagnostics] == [True]
-
-    def test_write_load_round_trip(self, tmp_path):
-        root = self._tree(tmp_path)
-        first = run_lint(root, rules=["DET002"])
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_diagnostics(first.diagnostics).write(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 1
-        assert run_lint(root, rules=["DET002"], baseline=loaded).ok
-
-    def test_stale_entries_reported(self, tmp_path):
-        root = self._tree(tmp_path)
-        baseline = Baseline(entries=[
-            {"rule": "DET002", "path": "repro/core/link.py", "line": 5},
-            {"rule": "DET002", "path": "repro/core/gone.py", "line": 1},
-        ])
-        report = run_lint(root, rules=["DET002"], baseline=baseline)
-        assert [e["path"] for e in report.stale_baseline] == ["repro/core/gone.py"]
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "absent.json")) == 0
-
-    def test_bad_format_raises(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text(json.dumps({"format": "bogus/9", "entries": []}))
-        with pytest.raises(ConfigError):
-            Baseline.load(path)
-
-    def test_baseline_path_discovery(self, tmp_path):
-        root = tmp_path / "src"
-        root.mkdir()
-        (tmp_path / "lint-baseline.json").write_text(
-            json.dumps({"format": "rose-lint-baseline/1", "entries": []})
-        )
-        assert baseline_path_for(root) == tmp_path / "lint-baseline.json"
 
 
 # ---------------------------------------------------------------------------
@@ -1215,10 +1156,27 @@ REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 class TestShippedTree:
     def test_shipped_tree_is_lint_clean(self):
-        baseline = Baseline.load(baseline_path_for(REPO_SRC))
-        report = LintEngine(REPO_SRC, baseline=baseline).run()
+        report = LintEngine(REPO_SRC).run()
         assert report.ok, "\n".join(d.location for d in report.active)
-        assert report.stale_baseline == []
+
+    def test_suppressions_move_with_the_code(self, tmp_path):
+        # Waivers sit on (or just above) the line they excuse, so pushing
+        # every module down one line moves every finding with it and
+        # leaves nothing active.
+        shifted = tmp_path / "src"
+        shutil.copytree(
+            REPO_SRC, shifted, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        for path in shifted.rglob("*.py"):
+            path.write_text("# shifted\n" + path.read_text(encoding="utf-8"),
+                            encoding="utf-8")
+        want = LintEngine(REPO_SRC, check_waivers=True).run()
+        got = LintEngine(shifted, check_waivers=True).run()
+        assert got.active == [], "\n".join(d.location for d in got.active)
+        assert [(d.rule, d.path, d.line - 1, d.message) for d in got.diagnostics] == [
+            (d.rule, d.path, d.line, d.message) for d in want.diagnostics
+        ]
+        assert got.diagnostics
 
     def test_lint_clean_oracle_registered(self):
         from repro.verify.oracles import registered_oracles
@@ -1244,7 +1202,7 @@ class TestCli:
 
     def test_findings_exit_one(self, tmp_path, capsys):
         root = self._tree(tmp_path)
-        code = main(["lint", str(root), "--no-baseline"])
+        code = main(["lint", str(root)])
         out = capsys.readouterr().out
         assert code == 1
         assert "DET002" in out and "repro/core/link.py" in out
@@ -1258,7 +1216,7 @@ class TestCli:
 
     def test_json_format(self, tmp_path, capsys):
         root = self._tree(tmp_path)
-        code = main(["lint", str(root), "--format", "json", "--no-baseline"])
+        code = main(["lint", str(root), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
         assert data["format"] == "rose-lint-report/1"
@@ -1268,7 +1226,7 @@ class TestCli:
 
     def test_sarif_format(self, tmp_path, capsys):
         root = self._tree(tmp_path)
-        code = main(["lint", str(root), "--format", "sarif", "--no-baseline"])
+        code = main(["lint", str(root), "--format", "sarif"])
         log = json.loads(capsys.readouterr().out)
         assert code == 1
         assert log["version"] == "2.1.0"
@@ -1286,9 +1244,9 @@ class TestCli:
         })
         # The default run skips deep rules (DET002 is out of scope here);
         # --deep finds the tainted root.
-        assert main(["lint", str(root), "--no-baseline"]) == 0
+        assert main(["lint", str(root)]) == 0
         capsys.readouterr()
-        code = main(["lint", str(root), "--deep", "--no-baseline"])
+        code = main(["lint", str(root), "--deep"])
         out = capsys.readouterr().out
         assert code == 1
         assert "DEEP001" in out and "mission_signature" in out
@@ -1304,40 +1262,9 @@ class TestCli:
         assert code == 1
         assert "WAIVE001" in out and "allow[DET002]" in out
 
-    def test_prune_baseline_rewrites_file(self, tmp_path, capsys):
-        root = self._tree(tmp_path)
-        baseline_path = tmp_path / "lint-baseline.json"
-        baseline_path.write_text(json.dumps({
-            "format": "rose-lint-baseline/1",
-            "entries": [
-                {"rule": "DET002", "path": "repro/core/link.py", "line": 5},
-                {"rule": "DET002", "path": "repro/core/gone.py", "line": 1},
-            ],
-        }))
-        code = main([
-            "lint", str(root), "--baseline", str(baseline_path), "--prune-baseline",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pruned 1 stale baseline entr" in out
-        kept = json.loads(baseline_path.read_text())["entries"]
-        assert [e["path"] for e in kept] == ["repro/core/link.py"]
-
-    def test_prune_baseline_conflicts_with_no_baseline(self, tmp_path, capsys):
-        root = self._tree(tmp_path)
-        assert main([
-            "lint", str(root), "--no-baseline", "--prune-baseline",
-        ]) == 2
-
     def test_rule_filter(self, tmp_path, capsys):
         root = self._tree(tmp_path)
         assert main(["lint", str(root), "--rule", "NUM001"]) == 0
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = self._tree(tmp_path)
-        assert main(["lint", str(root), "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").is_file()
-        assert main(["lint", str(root)]) == 0
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -1348,3 +1275,8 @@ class TestCli:
 
     def test_shipped_tree_via_cli_default_root(self, capsys):
         assert main(["lint"]) == 0
+
+    def test_rule_subset_keeps_shipped_waivers_fresh(self, capsys):
+        # The shipped DET002/RES002 waivers are not stale just because
+        # only DET001 ran.
+        assert main(["lint", "--rule", "DET001", "--check-waivers"]) == 0

@@ -10,6 +10,7 @@ matrix runs in-process against a fake-clock service.  One threaded
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -27,6 +28,7 @@ from repro.serve import (
     report_signature,
     run_job_to_completion,
 )
+from repro.sweep.journal import read_jsonl
 
 PARAMS = {"shards": 2, "lease_seconds": 30.0}
 
@@ -92,6 +94,31 @@ class TestDispatch:
         status, payload = dispatch(service, "POST", "/v1/jobs", body)
         assert status == 400
         assert "error" in payload
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"slice_size": 1.5},
+            {"shards": 2.5},
+            {"shards": True},
+            {"workers": 1.5},
+            {"max_attempts": 2.5},
+            {"task_timeout": 0},
+            {"task_timeout": -1},
+            {"task_timeout": "x"},
+            {"lease_seconds": float("inf")},
+        ],
+    )
+    def test_params_a_shard_cannot_run_are_400_and_never_journaled(
+        self, service, params
+    ):
+        body = _submit_body()
+        body["params"] = {**PARAMS, **params}
+        status, payload = dispatch(service, "POST", "/v1/jobs", body)
+        assert status == 400, payload
+        assert "error" in payload
+        events = [record["event"] for record in read_jsonl(service.store.path)]
+        assert "submit" not in events
 
     def test_job_listing_and_status(self, service):
         _, submitted = dispatch(service, "POST", "/v1/jobs", _submit_body())
@@ -219,6 +246,23 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30.0)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, live_server, length):
+        host, port = live_server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {length}\r\n".encode()
+                + b"Connection: close\r\n\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", raw
+        assert "Content-Length" in json.loads(body)["error"]
+        assert ServiceClient(live_server).health()["ok"] is True
 
 
 class TestServeCli:

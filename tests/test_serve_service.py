@@ -16,6 +16,7 @@ import shutil
 import pytest
 
 from repro.core.config import CoSimConfig
+from repro.core.manifest import config_to_dict
 from repro.errors import ServeError, SweepError
 from repro.serve import (
     FakeClock,
@@ -24,7 +25,10 @@ from repro.serve import (
     report_signature,
     run_job_to_completion,
 )
+from repro.serve.service import JOBS_LOG
 from repro.sweep import SweepRunner
+from repro.sweep.fingerprint import config_key
+from repro.sweep.journal import append_jsonl
 from repro.sweep.resilience import TaskFailure
 from repro.sweep.runner import SweepOutcome, SweepReport
 
@@ -192,6 +196,31 @@ class TestControlPlane:
         assert partial["mission_metrics"]  # one mission's metrics merged
         run_job_to_completion(service, job_id)
         assert service.job_telemetry(job_id)["completed"] == 3
+
+    @pytest.mark.parametrize(
+        "bad", [{"slice_size": 1.5}, {"shards": 2.5}, {"task_timeout": 0}]
+    )
+    def test_unrunnable_params_record_is_dropped_on_boot(self, tmp_path, bad):
+        # Replay drops a journaled submit record no shard could run, so
+        # it cannot kill the shards again on every boot.
+        root = tmp_path / "serve"
+        root.mkdir()
+        config = _tiny_config(9)
+        for record in (
+            {
+                "format": "rose-jobq/1", "event": "submit", "job": "poisoned",
+                "name": "poisoned", "params": {**_params().to_dict(), **bad},
+                "tasks": [{"name": "seed9", "key": config_key(config),
+                           "config": config_to_dict(config)}],
+            },
+            {"event": "job_state", "job": "poisoned", "state": "running"},
+        ):
+            append_jsonl(root / JOBS_LOG, record)
+        with SweepService(root, clock=FakeClock()) as service:
+            assert service.statuses() == []
+            submitted = service.submit("sweep", _pairs(2), _params())
+            status = run_job_to_completion(service, submitted["job"])
+            assert status["state"] == "done"
 
     def test_wait_returns_terminal_status_under_fake_clock(self, service):
         submitted = service.submit("sweep", _pairs(), _params())
