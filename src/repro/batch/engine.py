@@ -58,6 +58,7 @@ from repro.batch.infer import BatchedCnnPerception
 from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, MissionResult, run_mission
 from repro.core.packets import PacketType
+from repro.core.synchronizer import StepRecord
 from repro.env.camera import encode_image_u8
 from repro.env.physics import CollisionEvent
 from repro.env.simulator import TrajectorySample
@@ -148,22 +149,23 @@ class BatchEngine:
         """Reroute the two env-advancing RPC handlers through the batch.
 
         Handler-level overrides keep :meth:`RpcServer.call` untouched, so
-        marshalling, call counts and byte accounting stay serial-exact.
+        marshalling and call counts stay serial-exact.
         """
-        handlers = lane.cosim._rpc_server._handlers
+        server = lane.cosim._rpc_server
+        handlers = server._handlers
 
         def get_camera_image() -> dict[str, Any]:
             if not lane.camera_queue:
                 raise BatchIneligible("camera request arrived without a prescan")
             return lane.camera_queue.pop(0)
 
-        def continue_for_frames(frames: int) -> int:
+        def continue_for_frames(frames: int) -> StepRecord:
             if not lane.advance_token or int(frames) != self.frames_per_sync:
                 raise BatchIneligible(
                     f"unexpected environment advance of {frames} frame(s)"
                 )
             lane.advance_token = False
-            return lane.cosim.env.frame
+            return server.step_record()
 
         handlers["get_camera_image"] = get_camera_image
         handlers["continue_for_frames"] = continue_for_frames
@@ -434,7 +436,7 @@ class BatchEngine:
                     raise BatchIneligible("synchronizer skipped the environment advance")
             if failure is not None:
                 self._finish(lane, failure)
-            elif lane.cosim.rpc.mission_complete():
+            elif synchronizer.mission_complete:
                 self._finish(lane, None)
             elif synchronizer.sim_time >= lane.cosim.config.max_sim_time:
                 self._finish(lane, None)

@@ -411,7 +411,7 @@ class CoSimulation:
         try:
             self.synchronizer.run(
                 max_sim_time=self.config.max_sim_time,
-                stop_condition=self.rpc.mission_complete,
+                stop_condition=lambda: self.synchronizer.mission_complete,
             )
         except WatchdogError:
             failure_reason = "watchdog"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypedDict
 
 from repro.core.config import SyncConfig
 from repro.core.csvlog import SyncLogger, SyncLogRow
@@ -48,6 +48,22 @@ from repro.env.rpc import RpcClient
 from repro.errors import SyncError, WatchdogError
 from repro.obs.declarations import mission_registry
 from repro.obs.metrics import MetricsRegistry
+
+
+class StepRecord(TypedDict):
+    """The environment's committed state after one frame advance, as the
+    ``continue_for_frames`` RPC returns it (``RpcServer.step_record``)."""
+
+    frame: int
+    x: float
+    y: float
+    z: float
+    yaw: float
+    speed: float
+    s: float  # course arclength
+    d: float  # signed lateral offset
+    collisions: int
+    mission_complete: bool
 
 
 @dataclass
@@ -207,6 +223,9 @@ class Synchronizer:
         self._pending_rtl: list[DataPacket] = []
         self._configured = False
         self._last_imu: dict[str, float] | None = None
+        #: The environment's goal flag from the last advance's record
+        #: (the mission's stop test reads it; no RPC).
+        self.mission_complete = False
 
     # ------------------------------------------------------------------
     def configure(self) -> None:
@@ -361,7 +380,8 @@ class Synchronizer:
         )
         if timer is not None:
             t0 = wall_clock()
-        self.rpc.continue_for_frames(self.sync.frames_per_sync)
+        record = self.rpc.continue_for_frames(self.sync.frames_per_sync)
+        self.mission_complete = record["mission_complete"]
         if timer is not None:
             env_seconds += wall_clock() - t0
 
@@ -384,15 +404,10 @@ class Synchronizer:
         self.sim_time += self.sync.sync_period_seconds
         self.stats.steps += 1
         self.obs.inc("rose_sync_steps_total")
-        self._update_fault_stats()
         if self.invariants is not None:
             self.invariants.after_step(step_index, self.sim_time)
         if self.logger is not None:
-            if timer is not None:
-                t0 = wall_clock()
-            self._log_row()
-            if timer is not None:
-                env_seconds += wall_clock() - t0
+            self.logger.log(self._log_row(record))
         if timer is not None:
             total = wall_clock() - step_t0
             soc_seconds = timer.get("soc_step") - soc_before
@@ -501,32 +516,29 @@ class Synchronizer:
                 regrant_deadline = now + self.sync.regrant_timeout_s
             time.sleep(0.0002)
 
-    def _log_row(self) -> None:
-        st = self.rpc.get_state()
-        course = self.rpc.get_course_state()
+    def _log_row(self, record: StepRecord) -> SyncLogRow:
+        """This step's CSV row, from the advance's record (no RPC)."""
         target = self.stats.last_target
-        self.logger.log(
-            SyncLogRow(
-                step=self.stats.steps,
-                sim_time=self.sim_time,
-                x=st["x"],
-                y=st["y"],
-                z=st["z"],
-                yaw=st["yaw"],
-                speed=st["speed"],
-                course_s=course["s"],
-                course_d=course["d"],
-                collisions=self.rpc.get_collision_count(),
-                camera_requests=self.stats.camera_requests,
-                imu_requests=self.stats.imu_requests,
-                depth_requests=self.stats.depth_requests,
-                target_v_forward=target[0],
-                target_v_lateral=target[1],
-                target_yaw_rate=target[2],
-                packets_dropped=self.stats.packets_dropped,
-                packets_corrupted=self.stats.packets_corrupted,
-                retries=self.stats.sync_regrants,
-            )
+        return SyncLogRow(
+            step=self.stats.steps,
+            sim_time=self.sim_time,
+            x=record["x"],
+            y=record["y"],
+            z=record["z"],
+            yaw=record["yaw"],
+            speed=record["speed"],
+            course_s=record["s"],
+            course_d=record["d"],
+            collisions=record["collisions"],
+            camera_requests=self.stats.camera_requests,
+            imu_requests=self.stats.imu_requests,
+            depth_requests=self.stats.depth_requests,
+            target_v_forward=target[0],
+            target_v_lateral=target[1],
+            target_yaw_rate=target[2],
+            packets_dropped=self.stats.packets_dropped,
+            packets_corrupted=self.stats.packets_corrupted,
+            retries=self.stats.sync_regrants,
         )
 
     # ------------------------------------------------------------------

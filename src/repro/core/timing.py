@@ -4,12 +4,13 @@ The sweep engine reports where a mission's *host* time goes, split along
 the co-simulation's structural seams (Figure 3 / Algorithm 1):
 
 * ``env_step``  — environment work: sensor RPCs served for the SoC
-  (camera render, IMU reads, ...), frame stepping, and trajectory/CSV
-  state reads;
+  (camera render, IMU reads, ...) and frame stepping, whose RPC also
+  returns the state the CSV row logs;
 * ``soc_step``  — FireSim-host work: bridge servicing plus stepping the
   SoC cycle models by the granted budget (the target program runs here);
 * ``sync_overhead`` — everything else inside the lockstep loop: packet
-  (de)serialization, grant/done bookkeeping, watchdog polling;
+  (de)serialization, grant/done bookkeeping, watchdog polling, the CSV
+  row;
 * ``inference`` — perception + DNN-session work, measured at the
   :class:`~repro.app.perception.Perception` / ``InferenceSession`` choke
   points.  Inference executes *inside* the SoC step (the target program

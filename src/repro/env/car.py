@@ -105,7 +105,8 @@ class CarDynamics:
         self._applied = AccelCommand()
 
     # ------------------------------------------------------------------
-    def step(self, command: CarCommand, dt: float) -> None:
+    def step(self, command: CarCommand, dt: float) -> tuple[float, float] | None:
+        """One frame; returns ``(s, d)`` as :meth:`QuadrotorDynamics.step`."""
         p = self.params
         st = self.state
 
@@ -135,13 +136,15 @@ class CarDynamics:
 
         new_x = st.x + st.u * math.cos(st.yaw) * dt
         new_y = st.y + st.u * math.sin(st.yaw) * dt
-        if self.world.in_collision(np.array([new_x, new_y]), p.collision_radius):
+        course = self.world.course_if_clear(np.array([new_x, new_y]), p.collision_radius)
+        if course is None:
             if not self.recovering:
                 self._handle_collision(new_x, new_y)
         else:
             st.x, st.y = new_x, new_y
 
         self.time += dt
+        return course
 
     def _handle_collision(self, new_x: float, new_y: float) -> None:
         p = self.params

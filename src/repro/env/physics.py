@@ -144,8 +144,12 @@ class QuadrotorDynamics:
         self._applied = AccelCommand()
 
     # ------------------------------------------------------------------
-    def step(self, command: AccelCommand, dt: float) -> None:
-        """Advance one frame of duration ``dt`` under ``command``."""
+    def step(self, command: AccelCommand, dt: float) -> tuple[float, float] | None:
+        """Advance one frame of duration ``dt`` under ``command``.
+
+        Returns the collision test's ``(s, d)`` of the new position when
+        it is committed, ``None`` when the position is held.
+        """
         p = self.params
         st = self.state
 
@@ -203,7 +207,8 @@ class QuadrotorDynamics:
         pos = self._collision_probe
         pos[0] = new_x
         pos[1] = new_y
-        if self.world.in_collision(pos, p.collision_radius):
+        course = self.world.course_if_clear(pos, p.collision_radius)
+        if course is None:
             if not self.recovering:
                 self._handle_collision(new_x, new_y)
             # While recovering against the wall, hold position.
@@ -211,6 +216,7 @@ class QuadrotorDynamics:
             st.x, st.y = new_x, new_y
 
         self.time += dt
+        return course
 
     # ------------------------------------------------------------------
     def _handle_collision(self, new_x: float, new_y: float) -> None:

@@ -9,33 +9,38 @@ directly; it holds an :class:`RpcClient` whose calls are marshalled —
 method name plus JSON-serializable arguments — through an
 :class:`RpcServer` that dispatches to registered handlers.
 
-Keeping a real marshalling boundary (rather than plain method calls) does
-two things: it forces every datum crossing the boundary to be
-serializable, exactly as the real system requires, and it gives the
-deployment model a hook to account per-call RPC latency.
+Keeping a real marshalling boundary (rather than plain method calls)
+forces every datum crossing the boundary to be serializable, exactly as
+the real system requires.  The frame advance answers with the state it
+produced (:meth:`RpcServer.step_record`); the synchronizer's CSV row and
+stop test read that record, so a lockstep step makes one environment RPC
+for the advance plus one per sensor request or actuation command the SoC
+issued.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Any, Callable
-
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.env.camera import encode_image_u8
 from repro.env.flightctl import VelocityTarget
 from repro.env.simulator import EnvSimulator
 from repro.errors import SimulationError
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports env)
+    from repro.core.synchronizer import StepRecord
+
+#: Argument types whose JSON round trip is the identity.
+_JSON_SCALARS = (int, float, bool, str, type(None))
+
 
 @dataclass
 class RpcStats:
-    """Counters the throughput model and tests consume."""
+    """Dispatched-call counter."""
 
     calls: int = 0
-    bytes_out: int = 0
-    bytes_in: int = 0
 
 
 class RpcServer:
@@ -78,116 +83,38 @@ class RpcServer:
             handler = self._handlers[method]
         except KeyError:
             raise SimulationError(f"unknown RPC method {method!r}") from None
-        if not args:
-            # Fast path for the (most common) argument-less call: the JSON
-            # round-trip of ``()`` is always the 2-byte ``[]``.
-            self.stats.calls += 1
-            self.stats.bytes_out += 2
-            result = handler()
-        elif (size := RpcServer._simple_args_size(args)) >= 0:
-            # All-scalar argument tuples round-trip through JSON as the
-            # identity (repr round-trips finite floats exactly), so the
-            # dumps/loads pair is skipped and only its byte count kept.
-            self.stats.calls += 1
-            self.stats.bytes_out += size
-            result = handler(*args)
-        else:
+        if any(type(arg) not in _JSON_SCALARS for arg in args):
             # Round-trip the arguments through JSON: anything that cannot
             # be marshalled must fail here, at the boundary, not deep
-            # inside.
+            # inside.  Scalars round-trip as the identity and skip it.
             try:
-                encoded = json.dumps(args)
+                args = tuple(json.loads(json.dumps(args)))
             except TypeError as exc:
                 raise SimulationError(
                     f"RPC arguments for {method!r} are not serializable: {exc}"
                 ) from exc
-            self.stats.calls += 1
-            self.stats.bytes_out += len(encoded)
-            result = handler(*json.loads(encoded))
-        self.stats.bytes_in += self._payload_size(result)
-        return result
+        self.stats.calls += 1
+        return handler(*args)
 
-    @staticmethod
-    def _payload_size(result: Any) -> int:
-        # Scalar fast paths, each sized exactly as ``len(json.dumps(x))``
-        # would report (bools before ints: bool subclasses int).
-        if result is None:
-            return 4
-        if result is True:
-            return 4
-        if result is False:
-            return 5
-        if isinstance(result, (bytes, bytearray)):
-            return len(result)
-        if isinstance(result, float):
-            if math.isfinite(result):
-                return len(repr(result))  # json floats use float.__repr__
-        elif isinstance(result, int):
-            return len(repr(result))
-        elif isinstance(result, dict):
-            size = RpcServer._simple_dict_size(result)
-            if size >= 0:
-                return size
-            if any(isinstance(v, (bytes, bytearray)) for v in result.values()):
-                return 32 + sum(
-                    len(v)
-                    for v in result.values()
-                    if isinstance(v, (bytes, bytearray))
-                )
-        try:
-            return len(json.dumps(result))
-        except TypeError:
-            return 0
-
-    @staticmethod
-    def _simple_args_size(args: tuple) -> int:
-        """``len(json.dumps(args))`` for all-scalar argument tuples,
-        without rendering the JSON.  Returns -1 when any argument needs
-        the real marshalling path (containers, strings, non-finite
-        floats); sizes otherwise match ``json.dumps`` exactly.
-        """
-        size = 2 * len(args)  # brackets + ", " separators
-        for v in args:
-            if v is True or v is None:
-                size += 4
-            elif v is False:
-                size += 5
-            elif isinstance(v, float):
-                if not math.isfinite(v):
-                    return -1
-                size += len(repr(v))
-            elif isinstance(v, int) and type(v) is int:
-                size += len(repr(v))
-            else:
-                return -1
-        return size
-
-    @staticmethod
-    def _simple_dict_size(result: dict) -> int:
-        """``len(json.dumps(result))`` for flat scalar dicts, without
-        rendering the JSON (these dominate the RPC traffic).  Returns -1
-        when any key/value falls outside the fast cases; sizes otherwise
-        match ``json.dumps`` exactly — ASCII identifier keys need no
-        escaping, and JSON renders floats with ``repr``.
-        """
-        size = 2 + 2 * (len(result) - 1) if result else 2
-        for k, v in result.items():
-            if not (isinstance(k, str) and k.isascii() and k.isidentifier()):
-                return -1
-            if v is True or v is None:
-                value_len = 4
-            elif v is False:
-                value_len = 5
-            elif isinstance(v, float):
-                if not math.isfinite(v):
-                    return -1
-                value_len = len(repr(v))
-            elif isinstance(v, int) and type(v) is int:
-                value_len = len(repr(v))
-            else:
-                return -1
-            size += len(k) + 4 + value_len  # quotes + ": "
-        return size
+    def step_record(self) -> StepRecord:
+        """The committed state after a frame advance: pose, speed, the
+        simulator's cached course coordinates, collision count and goal
+        flag.  Reads caches only; nothing is projected."""
+        sim = self.simulator
+        st = sim.dynamics.state
+        s, d = sim.course_coordinates
+        return {
+            "frame": sim.frame,
+            "x": st.x,
+            "y": st.y,
+            "z": st.z,
+            "yaw": st.yaw,
+            "speed": st.speed,
+            "s": s,
+            "d": d,
+            "collisions": sim.collision_count,
+            "mission_complete": sim.mission_complete,
+        }
 
     # -- handlers ------------------------------------------------------
     def _reset(self) -> bool:
@@ -198,9 +125,9 @@ class RpcServer:
         self.simulator.takeoff()
         return True
 
-    def _continue_for_frames(self, frames: int) -> int:
+    def _continue_for_frames(self, frames: int) -> StepRecord:
         self.simulator.continue_for_frames(int(frames))
-        return self.simulator.frame
+        return self.step_record()
 
     def _get_camera_image(self) -> dict[str, Any]:
         image = self.simulator.get_camera_image()
@@ -292,8 +219,9 @@ class RpcClient:
     def takeoff(self) -> None:
         self.call("takeoff")
 
-    def continue_for_frames(self, frames: int) -> int:
-        return int(self.call("continue_for_frames", frames))
+    def continue_for_frames(self, frames: int) -> StepRecord:
+        """Advance ``frames`` frames; returns the post-advance record."""
+        return self.call("continue_for_frames", frames)
 
     def get_camera_image(self) -> dict[str, Any]:
         return self.call("get_camera_image")

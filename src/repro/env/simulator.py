@@ -142,8 +142,9 @@ class EnvSimulator:
         self.trajectory: list[TrajectorySample] = []
         self._goal_time: float | None = None
         #: Course state of the committed pose: ``(s, d)`` from the
-        #: projection :meth:`_record_sample` makes every frame, and the
-        #: heading error, computed from ``s`` on first read.
+        #: trajectory sample (the collision test's projection of a
+        #: committed move, a fresh one otherwise), and the heading error,
+        #: computed from ``s`` on first read.
         self._course_s = 0.0
         self._course_d = 0.0
         self._heading_error: float | None = None
@@ -193,9 +194,9 @@ class EnvSimulator:
                 command = self.controller.update(self.dynamics, dt)
             else:
                 command = self.controller.update(self.dynamics.state, dt)
-            self.dynamics.step(command, dt)
+            course = self.dynamics.step(command, dt)
             self.frame += 1
-            self._record_sample()
+            self._record_sample(course)
             if self._goal_time is None and self._course_s >= self.world.goal_arclength:
                 self._goal_time = self.sim_time
 
@@ -263,6 +264,11 @@ class EnvSimulator:
         """Fraction of the course completed, in [0, 1]."""
         return min(1.0, self._course_s / self.world.goal_arclength)
 
+    @property
+    def course_coordinates(self) -> tuple[float, float]:
+        """Cached ``(s, d)`` of the committed pose; nothing is projected."""
+        return self._course_s, self._course_d
+
     def set_course_coordinates(self, s: float, d: float) -> None:
         """Cache ``(s, d)`` of a newly committed pose.
 
@@ -274,9 +280,11 @@ class EnvSimulator:
         self._course_d = d
         self._heading_error = None
 
-    def _record_sample(self) -> None:
+    def _record_sample(self, course: tuple[float, float] | None = None) -> None:
+        """Log the committed pose; ``course`` is its ``(s, d)`` when the
+        dynamics step already projected it."""
         st = self.dynamics.state
-        s, d = self.world.course_coordinates(np.array([st.x, st.y]))
+        s, d = course or self.world.course_coordinates(np.array([st.x, st.y]))
         self.set_course_coordinates(s, d)
         self.trajectory.append(
             TrajectorySample(

@@ -168,10 +168,17 @@ class World:
     def in_collision(self, position: np.ndarray, radius: float) -> bool:
         """True if a disc of ``radius`` at ``position`` touches a wall, or if
         the position has left the corridor entirely."""
+        return self.course_if_clear(position, radius) is None
+
+    def course_if_clear(
+        self, position: np.ndarray, radius: float
+    ) -> tuple[float, float] | None:
+        """:meth:`in_collision` that keeps its projection: ``(s, d)`` of a
+        collision-free ``position``, ``None`` for a colliding one."""
         if self.wall_clearance(position) <= radius:
-            return True
-        _, d = self.course_coordinates(position)
-        return abs(d) >= self.half_width
+            return None
+        s, d = self.course_coordinates(position)
+        return None if abs(d) >= self.half_width else (s, d)
 
     def depth_along(self, pose: Pose2, relative_angle: float = 0.0, max_range: float = 100.0) -> float:
         """Ray-cast distance to the nearest wall along the pose heading.

@@ -148,6 +148,42 @@ class TestCourseStateCache:
         assert [mission_signature(r) for r in results] == serial
 
 
+    def test_lane_records_match_env_every_round(self, monkeypatch):
+        # The same ragged group: after every round, each stepped lane's
+        # CSV row (built from its advance's record) must equal a fresh
+        # read of its env, and a lane must finish on the round its env
+        # first reports the goal reached.
+        base = dict(world="tunnel", world_params={"length": 25.0})
+        configs = [
+            _cfg(**base, model="resnet14", target_velocity=7.56, max_sim_time=6.0),
+            _cfg(**base, model="resnet14", seed=1, max_sim_time=1.0),
+            _cfg(**base, target_velocity=9.0, initial_angle_deg=20.0, max_sim_time=3.0),
+        ]
+        goal_steps = [[] for _ in configs]
+        original = BatchEngine._round
+
+        def checked_round(engine, active):
+            original(engine, active)
+            for lane in active:
+                env = lane.cosim.env
+                row = lane.cosim.logger.rows[-1]
+                assert row.step == lane.cosim.synchronizer.stats.steps
+                st = env.get_state()
+                assert (row.x, row.y, row.z, row.yaw, row.speed) == (
+                    st.x, st.y, st.z, st.yaw, st.speed
+                )
+                assert (row.course_s, row.course_d) == env.course_state()[:2]
+                assert type(row.collisions) is int
+                assert row.collisions == env.collision_count
+                if env.mission_complete:
+                    goal_steps[lane.index].append(row.step)
+
+        monkeypatch.setattr(BatchEngine, "_round", checked_round)
+        results = BatchEngine(configs).run()
+        assert [r.completed for r in results] == [True, False, False]
+        assert results[2].collisions > 0
+        assert goal_steps == [[results[0].sync_stats.steps], [], []]
+
 class TestSweepIntegration:
     def test_batched_sweep_shares_cache_with_serial(self, tmp_path):
         # Cold batched sweep populates the cache; a serial re-run must hit

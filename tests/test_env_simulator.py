@@ -8,6 +8,7 @@ import pytest
 from repro.env.flightctl import VelocityTarget
 from repro.env.rpc import RpcClient, RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
+from repro.env.worlds import make_world
 from repro.errors import SimulationError
 
 
@@ -141,6 +142,37 @@ class TestCourseStateCache:
         assert sim.course_progress == 1.0
 
 
+class TestProjectionBudget:
+    """A committed frame projects once: the collision test's projection
+    is the trajectory sample's."""
+
+    def test_one_projection_per_committed_frame(self, monkeypatch):
+        world = make_world("s-shape")
+        calls = []
+        project = world.course_coordinates
+
+        def counting(position):
+            calls.append(1)
+            return project(position)
+
+        monkeypatch.setattr(world, "course_coordinates", counting)
+        sim = EnvSimulator(EnvConfig(world="s-shape", initial_angle_deg=10.0), world=world)
+        assert len(calls) == 1  # the spawn sample
+        sim.takeoff()
+        sim.send_velocity_target(VelocityTarget(v_forward=8.0, altitude=1.5))
+        held_frames = 0
+        for _ in range(60 * 4):
+            before = (sim.dynamics.state.x, sim.dynamics.state.y)
+            calls.clear()
+            sim.continue_for_frames(1)
+            if (sim.dynamics.state.x, sim.dynamics.state.y) == before:
+                held_frames += 1
+                assert 1 <= len(calls) <= 2
+            else:
+                assert len(calls) == 1
+        assert sim.collision_count > 0 and held_frames > 0
+
+
 class TestSensorsApi:
     def test_camera_image(self, env_sim):
         image = env_sim.get_camera_image()
@@ -204,7 +236,6 @@ class TestRpc:
         client.ping()
         client.get_depth()
         assert server.stats.calls == 2
-        assert server.stats.bytes_in > 0
 
     def test_reset_rpc(self, client):
         client.takeoff()

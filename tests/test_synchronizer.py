@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import packets as pk
-from repro.core.config import SyncConfig
+from repro.core.config import CoSimConfig, SyncConfig
+from repro.core.cosim import CoSimulation
 from repro.core.csvlog import SyncLogger
 from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer
@@ -20,6 +21,7 @@ from repro.env.simulator import EnvConfig, EnvSimulator
 from repro.errors import SyncError
 from repro.soc.firesim import FireSimHost
 from repro.soc.soc import CONFIG_A, Soc
+from repro.verify.golden import golden_missions
 
 SYNC = SyncConfig(cycles_per_sync=10_000_000)
 
@@ -202,3 +204,120 @@ class TestLogging:
         row = logger.rows[-1]
         assert row.step == 3
         assert row.sim_time == pytest.approx(3 * SYNC.sync_period_seconds)
+
+
+class RecordingServer:
+    """An RPC server stand-in that records every method it is asked for."""
+
+    def __init__(self, server):
+        self.server = server
+        self.methods = []
+
+    def call(self, method, *args):
+        self.methods.append(method)
+        return self.server.call(method, *args)
+
+
+class TestRpcBudget:
+    """A logged lockstep step crosses the environment RPC boundary once,
+    plus once per sensor request or command the SoC issued."""
+
+    @staticmethod
+    def build_recorded(program):
+        env, _, sync = build(program, logger=SyncLogger())
+        recorder = RecordingServer(RpcServer(env))
+        sync.rpc = RpcClient(recorder)
+        sync.configure()
+        return recorder, sync
+
+    def test_idle_steps_make_one_rpc_each(self):
+        recorder, sync = self.build_recorded(idle_program)
+        for _ in range(5):
+            sync.step()
+        assert len(sync.logger) == 5
+        assert recorder.methods == ["continue_for_frames"] * 5
+
+    def test_imu_request_adds_exactly_one_rpc(self):
+        def program(rt):
+            yield from rt.request_response(pk.imu_request(), PacketType.IMU_RESP)
+            while True:
+                yield from rt.delay(100_000)
+
+        recorder, sync = self.build_recorded(program)
+        for _ in range(4):
+            before_calls = len(recorder.methods)
+            before_imu = sync.stats.imu_requests
+            sync.step()
+            dispatched = sync.stats.imu_requests - before_imu
+            assert recorder.methods[before_calls:] == (
+                ["get_imu"] * dispatched + ["continue_for_frames"]
+            )
+        assert sync.stats.imu_requests == 1
+
+    def test_mission_rpc_count(self):
+        cosim = CoSimulation(CoSimConfig(world="tunnel", max_sim_time=1.0))
+        stats = cosim.run().sync_stats
+        assert stats.camera_requests > 0 and stats.target_commands > 0
+        # One advance per step, one RPC per camera request and target
+        # command, and the takeoff.
+        assert cosim._rpc_server.stats.calls == (
+            stats.steps + stats.camera_requests + stats.target_commands + 1
+        )
+
+
+def fly_checking_records(config, monkeypatch):
+    """Run ``config``, checking after every step that the CSV row equals a
+    fresh read of the environment.  Returns the result and the steps
+    after which the environment reported the goal reached."""
+    cosim = CoSimulation(config)
+    env, sync = cosim.env, cosim.synchronizer
+    goal_steps = []
+    step = sync.step
+
+    def checked_step():
+        step()
+        row = cosim.logger.rows[-1]
+        st = env.get_state()
+        assert (row.x, row.y, row.z, row.yaw, row.speed) == (
+            st.x, st.y, st.z, st.yaw, st.speed
+        )
+        assert (row.course_s, row.course_d) == env.course_state()[:2]
+        assert type(row.collisions) is int
+        assert row.collisions == env.collision_count
+        if env.mission_complete:
+            goal_steps.append(row.step)
+
+    monkeypatch.setattr(sync, "step", checked_step)
+    result = cosim.run()
+    assert len(cosim.logger) == result.sync_stats.steps
+    return result, goal_steps
+
+
+class TestStepRecord:
+    """The advance's record is the environment's state, and the mission
+    stops on the first step whose advance reached the goal."""
+
+    def test_s_shape_mission_with_wall_collisions(self, monkeypatch):
+        config = CoSimConfig(
+            world="s-shape", model="resnet6", target_velocity=9.0,
+            max_sim_time=8.0, seed=3,
+        )
+        result, goal_steps = fly_checking_records(config, monkeypatch)
+        assert result.collisions > 0
+        assert not result.completed and goal_steps == []
+
+    def test_faulty_link_with_drops_and_re_requests(self, monkeypatch):
+        config = golden_missions()["tunnel-dnn-faulty-drop"]
+        result, goal_steps = fly_checking_records(config, monkeypatch)
+        assert result.sync_stats.packets_dropped > 0
+        assert result.app_stats.sensor_retries > 0
+        assert not result.completed and goal_steps == []
+
+    def test_goal_reaching_tunnel_mission(self, monkeypatch):
+        config = CoSimConfig(
+            world="tunnel", model="resnet14", target_velocity=9.0,
+            max_sim_time=8.0, seed=1,
+        )
+        result, goal_steps = fly_checking_records(config, monkeypatch)
+        assert result.completed
+        assert goal_steps == [result.sync_stats.steps]
