@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.batch.engine import run_missions_batched
+from repro.batch.engine import run_batch
 from repro.core.config import CoSimConfig
 from repro.core.cosim import run_mission
 from repro.sweep.signature import mission_signature
@@ -57,6 +57,15 @@ def _fig11_style_configs(count: int = 16) -> list[CoSimConfig]:
             seed=seed,
         )
         for seed in range(count)
+    ]
+
+
+def _run_chunked(configs: list[CoSimConfig], size: int) -> list[Any]:
+    """Fly ``configs`` (one batch group) in lockstep chunks of ``size``."""
+    return [
+        result
+        for lo in range(0, len(configs), size)
+        for result in run_batch(configs[lo : lo + size])
     ]
 
 
@@ -93,7 +102,7 @@ def test_batch_throughput_and_scaling(benchmark):
 
     def _full_batch() -> None:
         cpu0 = time.process_time()
-        batched_results[:] = run_missions_batched(configs, batch_size=full_width)
+        batched_results[:] = _run_chunked(configs, full_width)
         round_cpu.append(time.process_time() - cpu0)
 
     benchmark.pedantic(_full_batch, rounds=3, iterations=1)
@@ -114,7 +123,7 @@ def test_batch_throughput_and_scaling(benchmark):
     curve: list[dict[str, float | int]] = []
     for size in BATCH_SIZES[:-1]:
         cpu, wall, results = _best_of(
-            1, lambda size=size: run_missions_batched(configs, batch_size=size)
+            1, lambda size=size: _run_chunked(configs, size)
         )
         assert [mission_signature(r) for r in results] == serial_signatures
         curve.append(

@@ -8,7 +8,9 @@
 * :mod:`repro.app.deadline` — Equations 3-5's collision-deadline model.
 * :mod:`repro.app.dynamic` — Section 5.3's dynamic runtime that switches
   between a high-accuracy and a low-latency network by deadline.
-* :mod:`repro.app.mission` — mission-level sweep helpers and metrics.
+
+Mission sweeps over these applications run through :mod:`repro.sweep`;
+:mod:`repro.analysis.figures` builds the paper's experiment axes.
 """
 
 from repro.app.controller import (

@@ -28,7 +28,8 @@ class BatchIneligible(Exception):
 
     Raised during a batched run only for conditions that are invisible to
     the pre-run :func:`batch_eligible` screen (e.g. an unexpected packet
-    type on the link); the group is then re-run serially.
+    type on the link).  :class:`~repro.sweep.runner.SweepRunner` then
+    runs the chunk serially, uncharged and not counted as batched.
     """
 
 

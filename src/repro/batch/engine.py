@@ -12,7 +12,7 @@ One engine round advances every active lane by one synchronization step:
 
 1. **Prescan** — peek at each lane's pending SoC packets.  Count camera
    requests, note the last velocity target; any packet the kernels do
-   not model aborts to the serial runner (:class:`BatchIneligible`).
+   not model aborts the batch (:class:`BatchIneligible`).
 2. **Pre-render** — rasterize the camera frames all requesting lanes are
    about to be served, in one batched pass from pre-advance state, and
    queue the finished RPC response dicts.  Texture noise comes from each
@@ -56,7 +56,7 @@ from repro.batch import kernels
 from repro.batch.eligibility import BatchIneligible, batch_eligible, batch_group_key
 from repro.batch.infer import BatchedCnnPerception
 from repro.core.config import CoSimConfig
-from repro.core.cosim import CoSimulation, MissionResult, run_mission
+from repro.core.cosim import CoSimulation, MissionResult
 from repro.core.packets import PacketType
 from repro.core.synchronizer import StepRecord
 from repro.env.camera import encode_image_u8
@@ -73,7 +73,6 @@ class _Lane:
     cosim: CoSimulation
     perception: Perception | None
     result: MissionResult | None = None
-    failure: str | None = None
     #: Camera responses pre-rendered for this round, FIFO for dispatch.
     camera_queue: list[dict[str, Any]] = field(default_factory=list)
     pending_camera_requests: int = 0
@@ -451,66 +450,18 @@ class BatchEngine:
 
 
 # ----------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ----------------------------------------------------------------------
-def _chunks(indices: list[int], size: int | None) -> list[list[int]]:
-    if size is None or size <= 0 or len(indices) <= size:
-        return [indices]
-    return [indices[i : i + size] for i in range(0, len(indices), size)]
-
-
 def run_batch(
     configs: Sequence[CoSimConfig],
     perceptions: Sequence[Perception | None] | None = None,
 ) -> list[MissionResult]:
-    """Run one compatible group batched, falling back to serial.
+    """Fly one compatible group in lockstep; results in input order.
 
-    A mid-run :class:`BatchIneligible` (an unexpected packet on the link)
-    discards the partial batch and re-runs every mission serially — the
-    co-simulation is deterministic, so the rerun is the ground truth the
-    batch would have had to match anyway.
+    :class:`BatchIneligible` reaches the caller, whether the pre-run
+    screen refuses a config or the run meets something the kernels do
+    not model (an unexpected packet on the link).
+    :class:`~repro.sweep.runner.SweepRunner` then runs the chunk
+    serially and does not count it as batched.
     """
-    if perceptions is None:
-        perceptions = [None] * len(configs)
-    try:
-        return BatchEngine(configs, perceptions).run()
-    except BatchIneligible:
-        return [
-            run_mission(config, perception=perception)
-            for config, perception in zip(configs, perceptions)
-        ]
-
-
-def run_missions_batched(
-    configs: Sequence[CoSimConfig],
-    perceptions: Sequence[Perception | None] | None = None,
-    batch_size: int | None = None,
-) -> list[MissionResult]:
-    """Run many missions, batching the eligible ones; results in order.
-
-    Ineligible configurations run serially via :func:`run_mission`;
-    eligible ones are grouped by :func:`batch_group_key` and executed in
-    lockstep (``batch_size`` caps lanes per engine; ``None`` = one engine
-    per group).  A group of one still goes through the batched engine —
-    batch-of-1 equals serial is the engine's base correctness invariant.
-    """
-    if perceptions is None:
-        perceptions = [None] * len(configs)
-    if len(perceptions) != len(configs):
-        raise ValueError("perceptions must parallel configs")
-    results: list[MissionResult | None] = [None] * len(configs)
-    groups: dict[str, list[int]] = {}
-    for i, config in enumerate(configs):
-        eligible, _reason = batch_eligible(config)
-        if eligible:
-            groups.setdefault(batch_group_key(config), []).append(i)
-        else:
-            results[i] = run_mission(config, perception=perceptions[i])
-    for indices in groups.values():
-        for chunk in _chunks(indices, batch_size):
-            chunk_results = run_batch(
-                [configs[i] for i in chunk], [perceptions[i] for i in chunk]
-            )
-            for i, result in zip(chunk, chunk_results):
-                results[i] = result
-    return [result for result in results if result is not None]
+    return BatchEngine(configs, perceptions).run()

@@ -835,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mission and dump its record (--mission), run the demo set with the "
         "metric-coverage check (--demo, the CI configuration), merge a "
         "directory of artifacts (--summarize), diff two records (--diff), "
-        "or validate artifacts against the JSON Schema (--validate).",
+        "or validate artifacts against the rose-obs/1 format (--validate).",
     )
     obs.add_argument(
         "--mission",

@@ -19,7 +19,7 @@ from repro.obs.declarations import (
 from repro.obs.export import parse_prometheus, to_prometheus
 from repro.obs.metrics import MetricSpec, MetricsRegistry, exercised_metrics
 from repro.obs.recorder import OBS_FORMAT, FlightRecord, trace_summary
-from repro.obs.schema import OBS_SCHEMA, validate_artifact
+from repro.obs.schema import validate_artifact
 
 __all__ = [
     "COVERAGE_EXEMPT",
@@ -29,7 +29,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "OBS_FORMAT",
-    "OBS_SCHEMA",
     "SERVE_METRICS",
     "SWEEP_METRICS",
     "exercised_metrics",

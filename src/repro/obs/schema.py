@@ -1,9 +1,10 @@
-"""JSON Schema for the ``rose-obs/1`` artifact, plus a validator.
+"""Validator for the ``rose-obs/1`` mission observability artifact.
 
-``validate_artifact`` prefers the real ``jsonschema`` library when it
-is importable and falls back to a structural validator otherwise — CI
-installs only the project's dev extras, which deliberately do not pull
-in jsonschema, so the fallback path is the one CI exercises.
+One structural check is the whole contract, so the verdict never
+depends on which optional libraries are installed.  Besides the type of
+every field, it enforces two cross-field rules: series rows carry
+exactly the declared label names, and a histogram row carries
+``len(edges) + 1`` bucket counts.
 """
 
 from __future__ import annotations
@@ -12,103 +13,55 @@ from typing import Any
 
 from repro.obs.recorder import OBS_FORMAT
 
-OBS_SCHEMA: dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "rose-obs/1 mission observability artifact",
-    "type": "object",
-    "required": ["format", "label", "config_key", "metrics", "stage_timings"],
-    "additionalProperties": False,
-    "properties": {
-        "format": {"const": OBS_FORMAT},
-        "label": {"type": "string"},
-        "config_key": {"type": "string"},
-        "stage_timings": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-        "trace": {
-            "type": "object",
-            "required": ["events", "by_category"],
-            "additionalProperties": False,
-            "properties": {
-                "events": {"type": "integer", "minimum": 0},
-                "by_category": {
-                    "type": "object",
-                    "additionalProperties": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "metrics": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["kind", "labels", "series"],
-                "if": {"properties": {"kind": {"const": "histogram"}}},
-                "then": {
-                    "required": ["buckets"],
-                    "properties": {
-                        "series": {
-                            "items": {
-                                "required": ["labels", "buckets", "sum", "count"]
-                            }
-                        }
-                    },
-                },
-                "else": {
-                    "properties": {
-                        "series": {"items": {"required": ["labels", "value"]}}
-                    }
-                },
-                "properties": {
-                    "kind": {"enum": ["counter", "gauge", "histogram"]},
-                    "labels": {"type": "array", "items": {"type": "string"}},
-                    "buckets": {"type": "array", "items": {"type": "number"}},
-                    "series": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["labels"],
-                            "properties": {
-                                "labels": {
-                                    "type": "object",
-                                    "additionalProperties": {"type": "string"},
-                                },
-                                "value": {"type": "number"},
-                                "buckets": {
-                                    "type": "array",
-                                    "items": {"type": "number"},
-                                },
-                                "sum": {"type": "number"},
-                                "count": {"type": "integer", "minimum": 0},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+_REQUIRED_KEYS = ("format", "label", "config_key", "metrics", "stage_timings")
+_KNOWN_KEYS = frozenset(_REQUIRED_KEYS) | {"trace"}
 
 
-def _structural_errors(data: Any) -> list[str]:
-    """Hand-rolled validation mirroring OBS_SCHEMA's constraints."""
-    errors: list[str] = []
+def _is_number(value: Any) -> bool:
+    """A JSON number (``bool`` is an ``int`` subclass, not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_number_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+def _is_trace(value: Any) -> bool:
+    return (
+        isinstance(value, dict)
+        and sorted(value) == ["by_category", "events"]
+        and _is_count(value["events"])
+        and isinstance(value["by_category"], dict)
+        and all(_is_count(v) for v in value["by_category"].values())
+    )
+
+
+def validate_artifact(data: Any) -> list[str]:
+    """Validate a parsed ``rose-obs/1`` document; return error strings.
+
+    An empty list means the artifact is valid.
+    """
     if not isinstance(data, dict):
         return ["artifact is not a JSON object"]
-    for key in ("format", "label", "config_key", "metrics", "stage_timings"):
-        if key not in data:
-            errors.append(f"missing required key {key!r}")
+    errors = [f"missing required key {key!r}" for key in _REQUIRED_KEYS if key not in data]
     if errors:
         return errors
+    errors = [f"unknown key {key!r}" for key in sorted(set(data) - _KNOWN_KEYS)]
     if data["format"] != OBS_FORMAT:
         errors.append(f"format is {data['format']!r}, expected {OBS_FORMAT!r}")
     for key in ("label", "config_key"):
         if not isinstance(data[key], str):
             errors.append(f"{key} must be a string")
-    if not isinstance(data["stage_timings"], dict) or any(
-        not isinstance(v, (int, float)) for v in data["stage_timings"].values()
+    if not isinstance(data["stage_timings"], dict) or not all(
+        _is_number(v) for v in data["stage_timings"].values()
     ):
         errors.append("stage_timings must map stage names to numbers")
+    if "trace" in data and not _is_trace(data["trace"]):
+        errors.append("trace must hold exactly events and by_category counts")
     metrics = data["metrics"]
     if not isinstance(metrics, dict):
         return errors + ["metrics must be an object"]
@@ -122,16 +75,16 @@ def _structural_errors(data: Any) -> list[str]:
             errors.append(f"{prefix}.kind is invalid: {kind!r}")
             continue
         labels = entry.get("labels")
-        if not isinstance(labels, list):
-            errors.append(f"{prefix}.labels must be a list")
+        if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
+            errors.append(f"{prefix}.labels must be a list of label names")
             continue
         series = entry.get("series")
         if not isinstance(series, list):
             errors.append(f"{prefix}.series must be a list")
             continue
         edges = entry.get("buckets")
-        if kind == "histogram" and not isinstance(edges, list):
-            errors.append(f"{prefix} is a histogram without bucket edges")
+        if (kind == "histogram" or edges is not None) and not _is_number_list(edges):
+            errors.append(f"{prefix}.buckets must be a list of bucket edges")
             continue
         for i, row in enumerate(series):
             where = f"{prefix}.series[{i}]"
@@ -140,37 +93,16 @@ def _structural_errors(data: Any) -> list[str]:
                 continue
             if sorted(row["labels"]) != sorted(labels):
                 errors.append(f"{where} labels do not match declared label names")
+            if not all(isinstance(v, str) for v in row["labels"].values()):
+                errors.append(f"{where} label values must be strings")
             if kind == "histogram":
                 counts = row.get("buckets")
-                if not isinstance(counts, list) or (
-                    isinstance(edges, list) and len(counts) != len(edges) + 1
-                ):
-                    errors.append(
-                        f"{where} must carry len(edges)+1 bucket counts"
-                    )
-                if not isinstance(row.get("count"), int):
-                    errors.append(f"{where}.count must be an integer")
-                if not isinstance(row.get("sum"), (int, float)):
+                if not _is_number_list(counts) or len(counts) != len(edges) + 1:
+                    errors.append(f"{where} must carry len(edges)+1 bucket counts")
+                if not _is_count(row.get("count")):
+                    errors.append(f"{where}.count must be a non-negative integer")
+                if not _is_number(row.get("sum")):
                     errors.append(f"{where}.sum must be a number")
-            else:
-                if not isinstance(row.get("value"), (int, float)):
-                    errors.append(f"{where}.value must be a number")
+            elif not _is_number(row.get("value")):
+                errors.append(f"{where}.value must be a number")
     return errors
-
-
-def validate_artifact(data: Any) -> list[str]:
-    """Validate a parsed ``rose-obs/1`` document; return error strings.
-
-    An empty list means the artifact is valid.  Uses ``jsonschema``
-    when available, otherwise the structural fallback.
-    """
-    try:
-        import jsonschema
-    except ImportError:
-        return _structural_errors(data)
-    validator_cls = jsonschema.validators.validator_for(OBS_SCHEMA)
-    validator = validator_cls(OBS_SCHEMA)
-    return [
-        f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(data), key=lambda e: str(e.absolute_path))
-    ]

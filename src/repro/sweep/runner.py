@@ -53,7 +53,7 @@ from typing import Any, Callable, Iterable, Union
 
 import numpy as np
 
-from repro.batch.eligibility import batch_eligible, batch_group_key
+from repro.batch.eligibility import BatchIneligible, batch_eligible, batch_group_key
 from repro.batch.engine import run_batch
 from repro.core.config import CoSimConfig
 from repro.core.cosim import MissionResult, run_mission
@@ -571,11 +571,12 @@ class SweepRunner:
 
         Returns the tasks still pending for the serial/pooled path.  The
         batched engine is bit-identical to serial execution (enforced by
-        the ``batch_vs_serial`` oracle), so completed lanes reuse the
+        the ``batch-vs-serial`` oracle), so completed lanes reuse the
         ordinary completion path — same cache writes, same journal
-        events, same outcome shape.  ``run_batch`` absorbs the engine's
-        declared :class:`~repro.batch.eligibility.BatchIneligible`, so
-        any exception reaching here is an engine fault: every task of
+        events, same outcome shape.  A chunk the engine refuses mid-run
+        (:class:`~repro.batch.eligibility.BatchIneligible`) goes to the
+        serial/pooled path as it is: no attempt charged, not counted as
+        batched.  Any other exception is an engine fault: every task of
         the chunk is charged one failed attempt, and the retries go to
         the supervised path.
         """
@@ -602,6 +603,9 @@ class SweepRunner:
                     results, seconds = _execute_batch(
                         [p.task.config for p in chunk], [p.key for p in chunk]
                     )
+                except BatchIneligible:
+                    remaining.extend(chunk)
+                    continue
                 except Exception as exc:  # noqa: BLE001 - taxonomy, not policy
                     message = f"batched engine: {type(exc).__name__}: {exc}"
                     now = perf_counter()

@@ -381,12 +381,11 @@ def _oracle_sweep_parallel() -> list[Divergence]:
 
 @oracle(
     "batch-vs-serial",
-    "lockstep batched engine vs. per-mission serial runs over a mixed "
-    "group (seeds, models, mission lengths): bit-identical signatures",
+    "batched sweep vs. per-mission serial runs over a mixed group (seeds, "
+    "models, mission lengths): every eligible lane batched, bit-identical "
+    "signatures",
 )
 def _oracle_batch_vs_serial() -> list[Divergence]:
-    from repro.batch.engine import run_missions_batched
-
     # A deliberately ragged group: different seeds, different DNNs, and
     # one mission that terminates early — plus an ineligible (MPC) lane
     # that must route through the serial fallback unchanged.
@@ -397,9 +396,20 @@ def _oracle_batch_vs_serial() -> list[Divergence]:
         _tiny_config(seed=3, controller="mpc"),
     ]
     want = [run_mission(cfg) for cfg in configs]  # serial reference
-    got = run_missions_batched(configs, batch_size=len(configs))
+    report = SweepRunner(workers=1, batch_size=len(configs)).run(configs)
     out: list[Divergence] = []
-    for cfg, reference, batched in zip(configs, want, got):
+    # A chunk that silently ran serially would still match below.
+    eligible = len(configs) - 1
+    if report.batched_missions != eligible:
+        out.append(
+            Divergence(
+                site="batch-vs-serial",
+                field="batched_missions",
+                expected=eligible,
+                actual=report.batched_missions,
+            )
+        )
+    for cfg, reference, batched in zip(configs, want, report.results()):
         if mission_signature(reference) == mission_signature(batched):
             continue
         hit = mission_divergence(

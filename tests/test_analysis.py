@@ -13,13 +13,6 @@ from repro.analysis.figures import (
     table4_rows,
 )
 from repro.analysis.render import format_table
-from repro.app.mission import (
-    compare_static_dynamic,
-    sweep_models,
-    sweep_sync_granularity,
-    sweep_velocities,
-)
-from repro.core.config import CoSimConfig
 from repro.core.deploy import CLOUD_AWS, ON_PREMISE
 
 
@@ -102,25 +95,3 @@ class TestClosedLoopDataGenerators:
         fine = data[10_000_000]
         coarse = data[400_000_000]
         assert coarse.mean_inference_latency_ms > fine.mean_inference_latency_ms
-
-
-class TestMissionSweepHelpers:
-    BASE = CoSimConfig(world="tunnel", model="resnet6", target_velocity=3.0, max_sim_time=4.0)
-
-    def test_sweep_models_keys(self):
-        results = sweep_models(self.BASE, models=("resnet6",))
-        assert set(results) == {"resnet6"}
-
-    def test_sweep_velocities_keys(self):
-        results = sweep_velocities(self.BASE, velocities=(3.0,))
-        assert set(results) == {3.0}
-        assert results[3.0].config.target_velocity == 3.0
-
-    def test_sweep_sync_granularity(self):
-        results = sweep_sync_granularity(self.BASE, cycles_per_sync=(10_000_000,))
-        assert results[10_000_000].config.sync.cycles_per_sync == 10_000_000
-
-    def test_compare_static_dynamic_keys(self):
-        results = compare_static_dynamic(self.BASE, static_models=("resnet6",))
-        assert set(results) == {"resnet6", "dynamic"}
-        assert results["dynamic"].config.dynamic_runtime

@@ -2,8 +2,9 @@
 
 Everything here pins bit-identity between the lockstep engine and the
 serial runner on the paths the throughput benchmark does not exercise:
-single-lane batches, ragged termination, ineligible-lane fallback, and
-cache-entry sharing through the sweep runner.
+single-lane batches, ragged termination, pixel-reading CNN lanes,
+ineligible-lane and mid-run-refusal fallback, and cache-entry sharing
+through the sweep runner.
 """
 
 from __future__ import annotations
@@ -11,16 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.app.perception import CnnPerception
 from repro.batch import (
+    BatchIneligible,
     batch_eligible,
     batch_group_key,
     run_batch,
-    run_missions_batched,
 )
 from repro.batch.engine import BatchEngine
+from repro.batch.infer import BatchedCnnPerception
 from repro.core.config import CoSimConfig
 from repro.core.cosim import run_mission
 from repro.core.faults import FaultPlan
+from repro.dnn.resnet import build_trainable_trailnet
 from repro.sweep import ResultCache, SweepRunner, mission_signature
 
 
@@ -94,14 +98,31 @@ class TestBatchBitIdentity:
         ]
         assert not batch_eligible(configs[1])[0]
         serial = [mission_signature(run_mission(c)) for c in configs]
-        batched = [mission_signature(r) for r in run_missions_batched(configs)]
-        assert batched == serial
+        report = SweepRunner(workers=1, batch_size=3).run(configs)
+        assert report.batched_missions == 2
+        assert [mission_signature(r) for r in report.results()] == serial
 
     def test_mixed_models_match_serial(self):
         configs = [_cfg(seed=0, model="resnet6"), _cfg(seed=1, model="resnet11")]
         serial = [mission_signature(run_mission(c)) for c in configs]
         batched = [mission_signature(r) for r in run_batch(configs)]
         assert batched == serial
+
+    def test_batched_cnn_lanes_match_serial_cnn(self):
+        # Lanes whose perception reads the camera pixels: every inference
+        # must come from the engine's one batched forward pass, and the
+        # missions must fly as serial CnnPerception ones do.  The argmax
+        # policy consumes class predictions only, so the batched GEMM's
+        # float32 roundoff (the engine's tolerance site) cannot move them.
+        model = build_trainable_trailnet(seed=7)
+        configs = [_cfg(seed=s, argmax_policy=True) for s in (0, 1)]
+        perceptions = [BatchedCnnPerception(model) for _ in configs]
+        results = run_batch(configs, perceptions)
+        for config, perception, result in zip(configs, perceptions, results):
+            serial = run_mission(config, perception=CnnPerception(model))
+            assert mission_signature(result) == mission_signature(serial)
+            assert perception.primed_hits == result.inference_count == 19
+            assert perception.fallback_inferences == 0
 
 
 class TestCourseStateCache:
@@ -224,5 +245,29 @@ class TestSweepIntegration:
         assert report.batched_missions == 0
         for outcome in report.outcomes:
             assert outcome.state == "ok" and outcome.attempts == 2
+        serial = [mission_signature(run_mission(c)) for c in configs]
+        assert [mission_signature(r) for r in report.results()] == serial
+
+    def test_engine_refusal_runs_chunk_serially_uncounted(self, monkeypatch):
+        # A chunk the engine refuses mid-run is a fallback, not a fault:
+        # it runs serially with no attempt charged, and the report does
+        # not count it as batched.
+        original = BatchEngine._round
+        rounds = []
+
+        def refusing_round(engine, active):
+            rounds.append(len(active))
+            if len(rounds) == 3:
+                raise BatchIneligible("unvectorized packet from SoC: IMU_REQ")
+            original(engine, active)
+
+        monkeypatch.setattr(BatchEngine, "_round", refusing_round)
+        configs = [_cfg(seed=s) for s in range(3)]
+        report = SweepRunner(workers=1, batch_size=4).run(configs)
+        assert len(rounds) == 3
+        assert report.batched_missions == 0
+        assert report.batch_chunks == 0
+        assert report.retries == 0
+        assert [outcome.attempts for outcome in report.outcomes] == [1, 1, 1]
         serial = [mission_signature(run_mission(c)) for c in configs]
         assert [mission_signature(r) for r in report.results()] == serial

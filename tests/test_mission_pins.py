@@ -1,20 +1,27 @@
-"""Signature pins for mission paths the golden corpus does not cover.
+"""Pins for mission paths the golden corpus does not cover.
 
 No golden record collides with a wall, only one reaches the goal, and
 none flies the car.  These three missions do, and their
 ``mission_signature``s are pinned: a change to how the environment
 steps, projects, detects collisions or reports its state must leave
-them bit-identical.  The quadrotor missions are also flown as one
-batched group, which must reproduce the same pins.
+them bit-identical.  The quadrotor missions are also flown on the
+batched engine, one lane each (their worlds differ), which must
+reproduce the same pins.
+
+No signature reads camera pixels either (the behavioural perception
+consumes only the packet's course metadata), so the bytes one camera
+RPC delivers are pinned separately.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.batch import run_missions_batched
+from repro.batch import run_batch
 from repro.core.config import CoSimConfig
-from repro.core.cosim import run_mission
+from repro.core.cosim import CoSimulation, run_mission
 from repro.sweep import mission_signature
 
 #: (config, signature); the comment gives what the mission exercises.
@@ -54,5 +61,21 @@ def test_serial_mission_matches_pin(name):
 
 def test_batched_quadrotor_missions_match_pins():
     names = ["sshape-collisions", "tunnel-goal"]
-    results = run_missions_batched([PINS[name][0] for name in names])
+    results = [run_batch([PINS[name][0]])[0] for name in names]
     assert [mission_signature(r) for r in results] == [PINS[n][1] for n in names]
+
+
+#: sha256 of the 32x48 frame one camera RPC returns right after takeoff.
+CAMERA_PINS = {
+    ("tunnel", 0): "3c42a963b46f2fd027445b84ec53ecabc9791f5a4ac8109ca94cbe25b32d2916",
+    ("s-shape", 3): "2545b168c3b51ace46b7b2b02571a7b76f44e8331a56594e8f403f5d93140eb4",
+}
+
+
+@pytest.mark.parametrize("world, seed", sorted(CAMERA_PINS))
+def test_camera_rpc_pixels_match_pin(world, seed):
+    cosim = CoSimulation(CoSimConfig(world=world, seed=seed))
+    cosim.rpc.takeoff()
+    pixels = cosim.rpc.get_camera_image()["pixels"]
+    assert len(pixels) == 32 * 48
+    assert hashlib.sha256(pixels).hexdigest() == CAMERA_PINS[world, seed]

@@ -1,15 +1,14 @@
 """Tests for the repro.obs observability layer.
 
 Covers the metrics registry semantics, the declarations catalog, the
-flight recorder, exporters and schema validation (both the jsonschema
-and the structural fallback paths), snapshot merging, the legacy-stats
-thin views, sweep-level telemetry aggregation (parallel == serial,
-cache hits reconstitute their telemetry), and the ``obs`` CLI.
+flight recorder, exporters and artifact validation, snapshot merging,
+the legacy-stats thin views, sweep-level telemetry aggregation
+(parallel == serial, cache hits reconstitute their telemetry), and the
+``obs`` CLI.
 """
 
 from __future__ import annotations
 
-import builtins
 import json
 
 import pytest
@@ -38,7 +37,6 @@ from repro.obs import (
     trace_summary,
     validate_artifact,
 )
-from repro.obs.schema import _structural_errors
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepRunner
 
@@ -408,18 +406,6 @@ class TestSchema:
     def test_valid_artifact(self):
         assert validate_artifact(self.artifact()) == []
 
-    def test_structural_fallback_matches(self, monkeypatch):
-        # Simulate the CI environment where jsonschema is not installed.
-        real_import = builtins.__import__
-
-        def no_jsonschema(name, *args, **kwargs):
-            if name == "jsonschema":
-                raise ImportError("blocked for test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_jsonschema)
-        assert validate_artifact(self.artifact()) == []
-
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -431,26 +417,45 @@ class TestSchema:
             lambda data: data["metrics"]["rose_ops_total"]["series"][0].update(
                 value="three"
             ),
+            lambda data: data.update(extra=1),
+            lambda data: data.update(trace={"events": 1}),
+            lambda data: data.update(
+                trace={"events": 1, "by_category": {}, "extra": 0}
+            ),
+            lambda data: data.update(trace={"events": -1, "by_category": {}}),
+            lambda data: data.update(trace={"events": 1, "by_category": {"a": 1.5}}),
+            lambda data: data["metrics"]["rose_level"].update(labels=[1]),
+            lambda data: data["metrics"]["rose_ops_total"]["series"][0].update(
+                labels={"kind": 1}
+            ),
+            lambda data: data["metrics"]["rose_latency"]["series"][0].update(
+                count=-1
+            ),
+            lambda data: data["metrics"]["rose_latency"].update(
+                buckets=["1", 10.0, 100.0]
+            ),
+            lambda data: data["metrics"]["rose_ops_total"]["series"][0].update(
+                value=True
+            ),
         ],
     )
     def test_invalid_artifacts_flagged_by_both_paths(self, mutate):
         data = self.artifact()
         mutate(data)
         assert validate_artifact(json.loads(json.dumps(data))) != []
-        assert _structural_errors(json.loads(json.dumps(data))) != []
 
     def test_label_name_mismatch_is_structural(self):
-        # "row labels must match the declared label names" is a
-        # cross-field constraint JSON Schema cannot express; the
-        # structural validator carries it on both paths' behalf.
+        # The two cross-field rules: row labels match the declared label
+        # names, and a histogram row carries len(edges)+1 bucket counts.
         data = self.artifact()
         data["metrics"]["rose_ops_total"]["series"][0]["labels"]["extra"] = "x"
-        assert any(
-            "label names" in error for error in _structural_errors(data)
-        )
+        data["metrics"]["rose_latency"]["series"][0]["buckets"].pop()
+        errors = validate_artifact(data)
+        assert any("label names" in error for error in errors)
+        assert any("bucket counts" in error for error in errors)
 
     def test_non_object_rejected(self):
-        assert _structural_errors([1, 2]) == ["artifact is not a JSON object"]
+        assert validate_artifact([1, 2]) == ["artifact is not a JSON object"]
 
 
 # ---------------------------------------------------------------------------
