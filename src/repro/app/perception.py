@@ -13,6 +13,13 @@ Two interchangeable implementations stand behind :class:`Perception`:
 Either way the *timing* of the inference is charged separately, by the
 scheduled operator graph on the SoC cycle models; perception here supplies
 only the classification outputs.
+
+Each perception declares whether it reads the packet's pixels
+(:attr:`Perception.reads_pixels`).  The co-simulation renders camera
+frames only for a reader; a non-reader's camera packets carry an
+all-zero frame of the same shape, so the wire format, and with it bridge
+timing and every counter, is the same either way.  The flag defaults to
+``True``: a perception that does not declare it still gets pixels.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ from repro.errors import ConfigError
 class Perception:
     """Interface: produce a :class:`TrailInference` from a camera packet."""
 
+    #: Whether :meth:`infer_packet` reads ``packet.raw``.  ``False``
+    #: promises that the result depends on the packet's metadata only, so
+    #: the environment may send a zero frame instead of rendering one.
+    reads_pixels: bool = True
+
     def infer_packet(self, packet: DataPacket) -> TrailInference:  # pragma: no cover
         raise NotImplementedError
 
@@ -40,6 +52,8 @@ def _check_camera_packet(packet: DataPacket) -> None:
 
 class BehavioralPerception(Perception):
     """Calibrated classifier over the packet's course metadata."""
+
+    reads_pixels = False
 
     def __init__(self, profile: ClassifierProfile, seed: int = 0):
         self.profile = profile

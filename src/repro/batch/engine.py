@@ -13,10 +13,13 @@ One engine round advances every active lane by one synchronization step:
 1. **Prescan** — peek at each lane's pending SoC packets.  Count camera
    requests, note the last velocity target; any packet the kernels do
    not model aborts the batch (:class:`BatchIneligible`).
-2. **Pre-render** — rasterize the camera frames all requesting lanes are
-   about to be served, in one batched pass from pre-advance state, and
-   queue the finished RPC response dicts.  Texture noise comes from each
-   lane's own camera RNG in serial draw order.  Lanes with a
+2. **Pre-render** — rasterize the camera frames that requesting lanes
+   whose perception reads pixels are about to be served, in one batched
+   pass from pre-advance state; the other requesting lanes get the zero
+   frame the serial RPC server sends them, and no pass runs when no
+   requesting lane reads pixels.  Queue the finished RPC response dicts.
+   Texture noise comes from each lane's own camera RNG in serial draw
+   order.  Lanes with a
    :class:`~repro.batch.infer.BatchedCnnPerception` are primed here with
    one whole-batch DNN forward pass.
 3. **Pre-apply targets** — the prescanned velocity targets update the
@@ -59,7 +62,7 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, MissionResult
 from repro.core.packets import PacketType
 from repro.core.synchronizer import StepRecord
-from repro.env.camera import encode_image_u8
+from repro.env.camera import encode_image_u8, zero_image_u8
 from repro.env.physics import CollisionEvent
 from repro.env.simulator import TrajectorySample
 from repro.errors import TransportError, WatchdogError
@@ -240,34 +243,48 @@ class BatchEngine:
                 lane.perception.begin_round()
         for j in range(max_requests):
             subset = [lane for lane in requesting if lane.pending_camera_requests > j]
-            idx = np.array([lane.index for lane in subset])
-            images = kernels.render_lanes(
-                self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
-            )
-            for m, lane in enumerate(subset):
-                image = lane.cosim.env.camera.finish_frame(images[m])
+            rendered = self._render(subset)
+            for lane in subset:
+                params = lane.cosim.env.camera.params
+                height, width = params.height, params.width
+                pixels = rendered.get(lane.index)
+                if pixels is None:  # reads no pixels: the serial RPC's zero frame
+                    pixels = zero_image_u8(params)
                 timestamp, heading_error, d = metadata[lane.index]
-                response = {
-                    "height": image.shape[0],
-                    "width": image.shape[1],
-                    "pixels": encode_image_u8(image),
-                    "timestamp": timestamp,
-                    "heading_error": heading_error,
-                    "lateral_offset": d,
-                    "half_width": self.world.half_width,
-                }
-                lane.camera_queue.append(response)
+                lane.camera_queue.append(
+                    {
+                        "height": height,
+                        "width": width,
+                        "pixels": pixels,
+                        "timestamp": timestamp,
+                        "heading_error": heading_error,
+                        "lateral_offset": d,
+                        "half_width": self.world.half_width,
+                    }
+                )
                 if isinstance(lane.perception, BatchedCnnPerception):
-                    cnn_items.append(
-                        (
-                            lane.perception,
-                            response["pixels"],
-                            image.shape[0],
-                            image.shape[1],
-                        )
-                    )
+                    cnn_items.append((lane.perception, pixels, height, width))
         if cnn_items:
             BatchedCnnPerception.prime_batch(cnn_items)
+
+    def _render(self, lanes: list[_Lane]) -> dict[int, bytes]:
+        """The encoded frame of every lane whose perception reads pixels.
+
+        One render call covers those lanes' pre-advance poses, and each
+        frame's noise comes from its own lane's camera; with no reader
+        among ``lanes`` nothing is rendered.
+        """
+        readers = [lane for lane in lanes if lane.cosim.env.pixels]
+        if not readers:
+            return {}
+        idx = np.array([lane.index for lane in readers])
+        images = kernels.render_lanes(
+            self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
+        )
+        return {
+            lane.index: encode_image_u8(lane.cosim.env.camera.finish_frame(image))
+            for lane, image in zip(readers, images)
+        }
 
     # -- phase 4: batched frame advance --------------------------------
     def _advance(self, active: list[_Lane]) -> None:

@@ -155,7 +155,15 @@ class CoSimulation:
             if config.world_params
             else None
         )
-        self.env = EnvSimulator(config.env_config(), world=world)
+        # Render camera frames only if a perception reads them.  Every
+        # app uses the given perception or the behavioural one, which
+        # reads none (as does the dynamic runtime's low model), so the
+        # given perception decides.
+        self.env = EnvSimulator(
+            config.env_config(),
+            world=world,
+            pixels=perception is not None and perception.reads_pixels,
+        )
         self._rpc_server = RpcServer(self.env)
         self.rpc = RpcClient(self._rpc_server)
 

@@ -102,6 +102,16 @@ def encode_image_u8(image: np.ndarray) -> bytes:
     return u8.tobytes()
 
 
+def zero_image_u8(params: CameraParams) -> bytes:
+    """The all-zero uint8 frame of ``params``' shape.
+
+    A camera RPC carries it to a perception that reads no pixels (camera
+    blackout sends the same bytes): nothing is rendered and the camera's
+    RNG is not drawn, while the payload length stays that of a real frame.
+    """
+    return bytes(params.height * params.width)
+
+
 def decode_image_u8(data: bytes, height: int, width: int) -> np.ndarray:
     """Inverse of :func:`encode_image_u8`."""
     flat = np.frombuffer(data, dtype=np.uint8)

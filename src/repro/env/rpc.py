@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.env.camera import encode_image_u8
+from repro.env.camera import encode_image_u8, zero_image_u8
 from repro.env.flightctl import VelocityTarget
 from repro.env.simulator import EnvSimulator
 from repro.errors import SimulationError
@@ -130,17 +130,29 @@ class RpcServer:
         return self.step_record()
 
     def _get_camera_image(self) -> dict[str, Any]:
-        image = self.simulator.get_camera_image()
-        _s, d, heading_error = self.simulator.course_state()
+        """One camera frame and its ground-truth metadata.
+
+        When no perception reads the pixels (``EnvSimulator.pixels`` is
+        false) the frame is :func:`~repro.env.camera.zero_image_u8` of the
+        camera's shape: nothing is rendered or encoded, and the payload
+        length, hence the wire format, is unchanged.
+        """
+        sim = self.simulator
+        params = sim.camera.params
+        if sim.pixels:
+            pixels = encode_image_u8(sim.get_camera_image())
+        else:
+            pixels = zero_image_u8(params)
+        _s, d, heading_error = sim.course_state()
         return {
-            "height": image.shape[0],
-            "width": image.shape[1],
-            "pixels": encode_image_u8(image),
-            "timestamp": self.simulator.sim_time,
+            "height": params.height,
+            "width": params.width,
+            "pixels": pixels,
+            "timestamp": sim.sim_time,
             # Ground-truth image metadata (see EnvSimulator.course_state).
             "heading_error": heading_error,
             "lateral_offset": d,
-            "half_width": self.simulator.world.half_width,
+            "half_width": sim.world.half_width,
         }
 
     def _get_imu(self) -> dict[str, float]:

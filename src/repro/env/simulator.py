@@ -87,10 +87,22 @@ class EnvSimulator:
     Construction spawns the drone on the ground at the configured initial
     pose.  Call :meth:`takeoff` to arm the flight controller, then advance
     time with :meth:`continue_for_frames`.
+
+    ``pixels`` says whether the consumer of this environment's camera
+    reads pixels (:attr:`repro.app.perception.Perception.reads_pixels`).
+    When it is ``False`` the RPC server answers camera requests with a
+    zero frame and renders nothing; :meth:`get_camera_image` itself
+    always renders.
     """
 
-    def __init__(self, config: EnvConfig | None = None, world: World | None = None):
+    def __init__(
+        self,
+        config: EnvConfig | None = None,
+        world: World | None = None,
+        pixels: bool = True,
+    ):
         self.config = config or EnvConfig()
+        self.pixels = pixels
         self.world = world if world is not None else cached_world(self.config.world)
         noise = self.config.noise
         if noise is None:

@@ -17,6 +17,7 @@ from repro.batch import (
     BatchIneligible,
     batch_eligible,
     batch_group_key,
+    kernels,
     run_batch,
 )
 from repro.batch.engine import BatchEngine
@@ -123,6 +124,30 @@ class TestBatchBitIdentity:
             assert mission_signature(result) == mission_signature(serial)
             assert perception.primed_hits == result.inference_count == 19
             assert perception.fallback_inferences == 0
+
+    def test_mixed_batch_renders_only_its_reader_lane(self, monkeypatch):
+        # A CNN lane beside a behavioural one: only the CNN lane's frames
+        # are rasterized, and both lanes fly as they would serially.
+        model = build_trainable_trailnet(seed=7)
+        configs = [_cfg(seed=s, argmax_policy=True) for s in (0, 1)]
+        reader = BatchedCnnPerception(model)
+        render_lanes = kernels.render_lanes
+        lanes_per_call = []
+
+        def counting_render(camera, world, x, y, yaw):
+            lanes_per_call.append(len(x))
+            return render_lanes(camera, world, x, y, yaw)
+
+        monkeypatch.setattr(kernels, "render_lanes", counting_render)
+        cnn, behavioural = run_batch(configs, [reader, None])
+        monkeypatch.undo()
+        serial_cnn = run_mission(configs[0], perception=CnnPerception(model))
+        assert mission_signature(cnn) == mission_signature(serial_cnn)
+        assert mission_signature(behavioural) == mission_signature(run_mission(configs[1]))
+        # One single-lane render per camera request of the reader lane.
+        assert lanes_per_call == [1] * cnn.sync_stats.camera_requests
+        assert reader.primed_hits == cnn.inference_count == 19
+        assert reader.fallback_inferences == 0
 
 
 class TestCourseStateCache:

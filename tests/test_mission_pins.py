@@ -8,9 +8,13 @@ them bit-identical.  The quadrotor missions are also flown on the
 batched engine, one lane each (their worlds differ), which must
 reproduce the same pins.
 
-No signature reads camera pixels either (the behavioural perception
-consumes only the packet's course metadata), so the bytes one camera
-RPC delivers are pinned separately.
+These missions fly the behavioural perception, which reads only the
+camera packet's course metadata, so their packets carry zero frames
+and no signature above depends on pixels.  The pixel path is pinned
+separately, for a perception that reads it: two closed-loop
+``CnnPerception`` missions, and the bytes one camera RPC delivers.
+The non-reader's side of that contract (a zero frame with the reader's
+shape and metadata, and no rasterizer call) is pinned last.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ import hashlib
 
 import pytest
 
-from repro.batch import run_batch
+from repro.app.perception import CnnPerception
+from repro.batch import kernels, run_batch
 from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, run_mission
+from repro.dnn.resnet import build_trainable_trailnet
+from repro.env import camera
 from repro.sweep import mission_signature
 
 #: (config, signature); the comment gives what the mission exercises.
@@ -65,6 +72,44 @@ def test_batched_quadrotor_missions_match_pins():
     assert [mission_signature(r) for r in results] == [PINS[n][1] for n in names]
 
 
+@pytest.fixture(scope="module")
+def trailnet():
+    """The seeded, untrained TrailNet every pixel-path pin flies."""
+    return build_trainable_trailnet(seed=7)
+
+
+#: (config, signature, inference count) of closed-loop missions whose
+#: perception is a CNN over the camera pixels.  The argmax policy reads
+#: class predictions only, so float32 near-ties across BLAS builds
+#: cannot move the pins.
+CNN_PINS = {
+    "tunnel-cnn": (
+        CoSimConfig(
+            world="tunnel", model="resnet6", target_velocity=3.0,
+            max_sim_time=1.0, seed=0, argmax_policy=True,
+        ),
+        "fefe3a1656c2d0d910dab5b7da1bb1743fab79cc95ac00cf09140321ee4302c7",
+        19,
+    ),
+    "sshape-cnn": (
+        CoSimConfig(
+            world="s-shape", model="resnet6", target_velocity=9.0,
+            max_sim_time=2.0, seed=0, argmax_policy=True,
+        ),
+        "d023b33892c52f565c318ca13cfa80f35b7cb7fd78d6257828710e12fae5993e",
+        39,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CNN_PINS))
+def test_cnn_mission_matches_pin(name, trailnet):
+    config, signature, inferences = CNN_PINS[name]
+    result = run_mission(config, perception=CnnPerception(trailnet))
+    assert result.inference_count == inferences
+    assert mission_signature(result) == signature
+
+
 #: sha256 of the 32x48 frame one camera RPC returns right after takeoff.
 CAMERA_PINS = {
     ("tunnel", 0): "3c42a963b46f2fd027445b84ec53ecabc9791f5a4ac8109ca94cbe25b32d2916",
@@ -72,10 +117,46 @@ CAMERA_PINS = {
 }
 
 
-@pytest.mark.parametrize("world, seed", sorted(CAMERA_PINS))
-def test_camera_rpc_pixels_match_pin(world, seed):
-    cosim = CoSimulation(CoSimConfig(world=world, seed=seed))
+def _first_frame(config, perception=None) -> dict:
+    cosim = CoSimulation(config, perception=perception)
     cosim.rpc.takeoff()
-    pixels = cosim.rpc.get_camera_image()["pixels"]
+    return cosim.rpc.get_camera_image()
+
+
+@pytest.mark.parametrize("world, seed", sorted(CAMERA_PINS))
+def test_camera_rpc_pixels_match_pin(world, seed, trailnet):
+    # The frame a pixel reader is served; a non-reader gets zeros.
+    image = _first_frame(CoSimConfig(world=world, seed=seed), CnnPerception(trailnet))
+    pixels = image["pixels"]
     assert len(pixels) == 32 * 48
     assert hashlib.sha256(pixels).hexdigest() == CAMERA_PINS[world, seed]
+
+
+@pytest.mark.parametrize("world, seed", sorted(CAMERA_PINS))
+def test_non_reader_camera_rpc_serves_zero_frame(world, seed, trailnet):
+    config = CoSimConfig(world=world, seed=seed)
+    blank = _first_frame(config)
+    read = _first_frame(config, CnnPerception(trailnet))
+    assert blank["pixels"] == bytes(32 * 48)
+    assert (blank["height"], blank["width"]) == (32, 48)
+    # Shape, timestamp and course metadata are the reader's.
+    assert {k: v for k, v in blank.items() if k != "pixels"} == {
+        k: v for k, v in read.items() if k != "pixels"
+    }
+
+
+def test_behavioural_missions_never_rasterize(monkeypatch):
+    config = CoSimConfig(world="tunnel", model="resnet6", max_sim_time=1.0, seed=0)
+    serial = run_mission(config)
+
+    def no_render(*_args, **_kwargs):
+        raise AssertionError("a mission that reads no pixels rendered a frame")
+
+    monkeypatch.setattr(camera, "render_lanes", no_render)
+    monkeypatch.setattr(kernels, "render_lanes", no_render)
+    flown = run_mission(config)
+    (batched,) = run_batch([config])
+    assert flown.sync_stats.camera_requests > 0
+    assert batched.sync_stats.camera_requests > 0
+    assert mission_signature(flown) == mission_signature(serial)
+    assert mission_signature(batched) == mission_signature(serial)
