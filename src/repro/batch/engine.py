@@ -133,9 +133,6 @@ class BatchEngine:
         #: lanes freeze at the values last written back.
         self.time = 0.0
         self.frame = 0
-        arrays = self.world.centerline_arrays
-        #: Per-segment left normals, for the signed-offset dot products.
-        self._normals = np.column_stack([-arrays.units[:, 1], arrays.units[:, 0]])
 
         for lane in self.lanes:
             st = lane.cosim.env.dynamics.state
@@ -319,6 +316,7 @@ class BatchEngine:
             tgt_yr = self.target_yaw_rate[idx]
             tgt_alt = self.target_altitude[idx]
         goal = self.world.goal_arclength
+        normals = self.world.centerline.normals
 
         for _ in range(self.frames_per_sync):
             cmd_f = pid_f.update(tgt_f - w.u, dt)
@@ -342,7 +340,7 @@ class BatchEngine:
             )
             d_new = np.empty(k)
             for m in range(k):  # per lane: the serial d is a 2-vector BLAS dot
-                d_new[m] = float(diff[m] @ self._normals[seg_idx[m]])
+                d_new[m] = float(diff[m] @ normals[seg_idx[m]])
             colliding = (wall_d <= p.collision_radius) | (
                 np.abs(d_new) >= self.world.half_width
             )

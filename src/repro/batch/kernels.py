@@ -15,19 +15,22 @@ scalar code.
 
 Bit-exactness contract
 ----------------------
-Each kernel replicates the serial arithmetic of its counterpart —
-:mod:`repro.env.physics`, :mod:`repro.env.flightctl`,
-:mod:`repro.env.geometry` — operation for operation, in the same order,
-so a lane of the batch produces bit-for-bit the floats the serial
-simulator produces.  This relies on elementwise numpy ufuncs
-(``np.cos``/``np.sin``/``np.sqrt``/``np.fmod``, arithmetic,
-compare/select) computing the same IEEE-754 result as the scalar
-``math.*`` / Python-float expression; that holds on this code path and is
-pinned by the batched-vs-serial oracle.  The operations that do *not*
-vectorize bit-identically (``math.hypot``, the 2-vector BLAS dot in
-:meth:`Polyline.project <repro.env.geometry.Polyline.project>`) stay as
-per-lane scalar loops in :mod:`repro.batch.engine`; the heading error's
-``math.atan2`` is left to each lane's :meth:`EnvSimulator.course_state
+The dynamics and PID kernels replicate the serial arithmetic of their
+counterparts — :mod:`repro.env.physics` and :mod:`repro.env.flightctl`
+— operation for operation, in the same order, so a lane of the batch
+produces bit-for-bit the floats the serial simulator produces.  This
+relies on elementwise numpy ufuncs (``np.cos``/``np.sin``/``np.sqrt``/
+``np.fmod``, arithmetic, compare/select) computing the same IEEE-754
+result as the scalar ``math.*`` / Python-float expression; that holds on
+this code path and is pinned by the batched-vs-serial oracle.  World
+queries are not replicated: :func:`wall_distances` and
+:func:`project_lanes` call the :mod:`repro.env.geometry` kernels the
+serial simulator calls, with ``(K, 1)`` columns instead of plain floats.
+The operations that do *not* vectorize bit-identically (``math.hypot``,
+the 2-vector BLAS dot in :meth:`Polyline.project
+<repro.env.geometry.Polyline.project>`) stay as per-lane scalar loops in
+:mod:`repro.batch.engine`; the heading error's ``math.atan2`` is left to
+each lane's :meth:`EnvSimulator.course_state
 <repro.env.simulator.EnvSimulator.course_state>`.
 """
 
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.env.camera import render_lanes  # noqa: F401 - re-exported for the engine
-from repro.env.geometry import _EPS
 from repro.env.physics import QuadrotorParams
 from repro.env.worlds import World
 
@@ -262,22 +264,9 @@ def integrate_pose(
 # World geometry (repro.env.geometry / repro.env.worlds)
 # ----------------------------------------------------------------------
 def wall_distances(px_: np.ndarray, py_: np.ndarray, world: World) -> np.ndarray:
-    """Per-lane distance to the nearest wall segment.
-
-    Row ``k`` replicates ``SegmentSoup.min_distance`` exactly: identical
-    elementwise pairings, then ``sqrt(min(...))``.
-    """
-    walls = world.walls
-    ax, ay = walls._ax, walls._ay
-    dx, dy = walls._dx, walls._dy
-    rx = px_[:, None] - ax[None, :]
-    ry = py_[:, None] - ay[None, :]
-    denom = dx * dx + dy * dy
-    denom = np.where(denom < _EPS, 1.0, denom)
-    t = np.clip((rx * dx[None, :] + ry * dy[None, :]) / denom[None, :], 0.0, 1.0)
-    cx = rx - t * dx[None, :]
-    cy = ry - t * dy[None, :]
-    return np.sqrt(np.min(cx * cx + cy * cy, axis=1))
+    """Per-lane distance to the nearest wall: row ``k`` is lane ``k``'s
+    ``SegmentSoup.min_distance``, bit for bit (the same kernel)."""
+    return world.walls.nearest_distance(px_[:, None], py_[:, None])
 
 
 def project_lanes(
@@ -285,28 +274,12 @@ def project_lanes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched ``Polyline.project`` over (K, 2) ``points``.
 
-    Returns ``(s, idx, diff)``: arclength per lane, the argmin segment
+    Returns ``(s, idx, diff)``: arclength per lane, the nearest segment
     index, and the ``point - closest`` residual rows.  The signed lateral
     offset ``d`` is *not* computed here — serial ``project`` forms it with
     a 2-vector BLAS dot whose rounding differs from any expanded sum, so
     the engine finishes it with the identical per-lane ``diff @ normal``.
     """
-    arrays = world.centerline_arrays
-    starts, lens, units = arrays.starts, arrays.lens, arrays.units
-    sx, sy = starts[:, 0], starts[:, 1]
-    ux, uy = units[:, 0], units[:, 1]
-    px, py = points[:, 0], points[:, 1]
-    # Coordinates kept in separate contiguous (K, S) planes: a 2-element
-    # ``.sum(axis=2)`` is the ordered add ``a + b``, so every pairing
-    # below restates the interleaved form bit-for-bit.
-    relx = px[:, None] - sx[None, :]
-    rely = py[:, None] - sy[None, :]
-    t = relx * ux[None, :] + rely * uy[None, :]
-    t = np.clip(t, 0.0, lens[None, :])
-    diffx = px[:, None] - (sx[None, :] + t * ux[None, :])
-    diffy = py[:, None] - (sy[None, :] + t * uy[None, :])
-    d2 = diffx * diffx + diffy * diffy
-    idx = np.argmin(d2, axis=1)
-    rows = np.arange(points.shape[0])
-    s = world.centerline._cum[idx] + t[rows, idx]
-    return s, idx, np.column_stack([diffx[rows, idx], diffy[rows, idx]])
+    line = world.centerline
+    idx, t, dx, dy = line.nearest_segment(points[:, :1], points[:, 1:])
+    return line.cum[idx] + t, idx, np.column_stack([dx, dy])

@@ -12,7 +12,12 @@ training example and tests train a real CNN on them).
 
 The rasterizer (:func:`render_lanes`) draws K poses per call: a serial
 :meth:`FpvCamera.render` is one lane, and the batched engine
-(:mod:`repro.batch`) renders every lane of a batch in one call.
+(:mod:`repro.batch`) renders every lane of a batch in one call.  Its
+geometry is the world's own: wall columns are
+:meth:`~repro.env.geometry.SegmentSoup.cast` and floor pixels are
+projected with :meth:`~repro.env.geometry.Polyline.nearest_segment`.
+This module adds only cache blocking and the floor shader's float32
+prefilter.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.env.geometry import _EPS, Pose2
+from repro.env.geometry import Pose2
 from repro.env.worlds import World
 
 
@@ -195,21 +200,21 @@ def floor_offsets(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
     elementwise planes) finds each point's approximately nearest segment,
     and a window of :data:`_FLOOR_CANDIDATES` consecutive segments around
     it — near-ties come from neighbours sharing an endpoint — is refined
-    with the exact float64 arithmetic.  A conservative error bound
+    exactly by :meth:`Polyline.nearest_segment
+    <repro.env.geometry.Polyline.nearest_segment>` over that window
+    alone.  A conservative error bound
     proves, per point, that every excluded segment is strictly farther
     than the refined minimum — any point that cannot be proven falls the
     whole call back to :func:`_floor_offsets_exact`, so the prefilter can
     only ever cost time, never exactness.
     """
-    arrays = world.centerline_arrays
-    n_seg = arrays.starts.shape[0]
+    line = world.centerline
+    n_seg = line.lengths.shape[0]
     n_pts = px_.shape[0]
     if n_seg <= _FLOOR_CANDIDATES + 2 or n_pts * n_seg <= 20000:
         return _floor_offsets_exact(world, px_, py_)
 
-    sx, sy = arrays.starts[:, 0], arrays.starts[:, 1]
-    ux, uy = arrays.units[:, 0], arrays.units[:, 1]
-    lens = arrays.lens
+    sx, sy, ux, uy, lens = line.sx, line.sy, line.ux, line.uy, line.lengths
 
     # -- float32 prefilter ---------------------------------------------
     # One (P, 3) point matrix against two (3, S) segment matrices; the
@@ -267,7 +272,6 @@ def floor_offsets(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
         )
         thresh[lo:hi] = d2m.min(axis=1)
 
-    point_rows = np.arange(n_pts)
     # Window indices ascend, so the refined argmin tie-breaks like the
     # exact global one.
     cand = np.clip(nearest[:, None] + _WINDOW_OFFSETS[None, :], 0, n_seg - 1)
@@ -275,16 +279,7 @@ def floor_offsets(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
     thresh = thresh.astype(np.float64) + p2
 
     # -- exact arithmetic on the candidates ----------------------------
-    c_sx, c_sy = sx[cand], sy[cand]  # (P, C)
-    c_ux, c_uy = ux[cand], uy[cand]
-    relx = px_[:, None] - c_sx
-    rely = py_[:, None] - c_sy
-    t = np.clip(relx * c_ux + rely * c_uy, 0.0, lens[cand])
-    # Serial forms ``closest`` then ``point - closest``; keep that order.
-    diffx = px_[:, None] - (c_sx + t * c_ux)
-    diffy = py_[:, None] - (c_sy + t * c_uy)
-    d2 = diffx * diffx + diffy * diffy
-    best = np.argmin(d2, axis=1)
+    idx, _, dx, dy = line.nearest_segment(px_[:, None], py_[:, None], segments=cand)
 
     # -- soundness guard -----------------------------------------------
     # Bound the float32 pass's absolute error by ~10 ulps at the squared
@@ -293,41 +288,21 @@ def floor_offsets(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
     scale = max(
         float(np.abs(px_).max(initial=1.0)),
         float(np.abs(py_).max(initial=1.0)),
-        float(np.abs(arrays.starts).max(initial=1.0)),
+        float(np.abs(line.points[:-1]).max(initial=1.0)),
         float(lens.max(initial=1.0)),
     )
     margin = 64.0 * float(np.finfo(np.float32).eps) * (scale * scale + 1.0)
-    if bool((d2[point_rows, best] >= thresh - margin).any()):
+    if bool((dx * dx + dy * dy >= thresh - margin).any()):
         return _floor_offsets_exact(world, px_, py_)
-
-    idx = cand[point_rows, best]
-    return (
-        diffx[point_rows, best] * (-uy[idx]) + diffy[point_rows, best] * ux[idx]
-    )
+    return line.lateral_offsets(idx, dx, dy)
 
 
 def _floor_offsets_exact(world: World, px_: np.ndarray, py_: np.ndarray) -> np.ndarray:
-    """Each point's signed offset from its nearest centerline segment.
-
-    Every point is projected onto every segment (the arithmetic of
-    :meth:`World.batch_course_frames`, first-index argmin tie-break).
-    Each ``(P, S)`` intermediate is a single coordinate plane instead of
-    stacked ``(P, S, 2)`` arrays, halving the memory traffic; a
-    ``.sum(axis=2)`` over two elements is the plain ordered ``x + y``
-    these expressions write out, so the split form is bit-identical.
-    """
-    arrays = world.centerline_arrays
-    sx, sy = arrays.starts[:, 0], arrays.starts[:, 1]
-    ux, uy = arrays.units[:, 0], arrays.units[:, 1]
-    relx = px_[:, None] - sx[None, :]  # (P, S)
-    rely = py_[:, None] - sy[None, :]
-    t = np.clip(relx * ux[None, :] + rely * uy[None, :], 0.0, arrays.lens[None, :])
-    # Serial forms ``closest`` then ``point - closest``; keep that order.
-    diffx = px_[:, None] - (sx[None, :] + t * ux[None, :])
-    diffy = py_[:, None] - (sy[None, :] + t * uy[None, :])
-    idx = np.argmin(diffx * diffx + diffy * diffy, axis=1)
-    rows = np.arange(px_.shape[0])
-    return diffx[rows, idx] * (-uy[idx]) + diffy[rows, idx] * ux[idx]
+    """Each point's signed offset from its nearest centerline segment,
+    searched over every segment (the floor shader's whole-call fallback)."""
+    line = world.centerline
+    idx, _, dx, dy = line.nearest_segment(px_[:, None], py_[:, None])
+    return line.lateral_offsets(idx, dx, dy)
 
 
 #: Lanes per cast block.  The (lanes, W, S) intermediate planes are the
@@ -344,59 +319,20 @@ def cast_rays_lanes(
     world: World,
     max_range: float,
 ) -> np.ndarray:
-    """Batched ``SegmentSoup.cast_rays``: (K,) origins x (K, W) angles.
+    """:meth:`SegmentSoup.cast <repro.env.geometry.SegmentSoup.cast>` from
+    (K,) origins at (K, W) angles.
 
-    Each (lane, ray, segment) scalar pairing matches the single-origin
-    solve, so every returned distance is bit-identical to it.  Lanes are processed in
-    cache-sized blocks; each lane's arithmetic is independent, so the
-    blocking cannot change any bit.
+    Lanes are cast in cache-sized blocks.  Each lane's arithmetic is
+    independent, so the blocking cannot change any bit, and every
+    distance equals the one-origin ``cast_rays``.
     """
-    n_lanes = origins_x.shape[0]
-    if n_lanes <= _CAST_LANE_CHUNK:
-        return _cast_rays_block(origins_x, origins_y, angles, world, max_range)
+    cast = world.walls.cast
+    ox = origins_x[:, None, None]
+    oy = origins_y[:, None, None]
+    if origins_x.shape[0] <= _CAST_LANE_CHUNK:
+        return cast(ox, oy, angles, max_range)
     out = np.empty_like(angles)
-    for lo in range(0, n_lanes, _CAST_LANE_CHUNK):
-        hi = min(lo + _CAST_LANE_CHUNK, n_lanes)
-        out[lo:hi] = _cast_rays_block(
-            origins_x[lo:hi], origins_y[lo:hi], angles[lo:hi], world, max_range
-        )
+    for lo in range(0, origins_x.shape[0], _CAST_LANE_CHUNK):
+        hi = lo + _CAST_LANE_CHUNK
+        out[lo:hi] = cast(ox[lo:hi], oy[lo:hi], angles[lo:hi], max_range)
     return out
-
-
-def _cast_rays_block(
-    origins_x: np.ndarray,
-    origins_y: np.ndarray,
-    angles: np.ndarray,
-    world: World,
-    max_range: float,
-) -> np.ndarray:
-    """One cache-sized block of the batched ray solve."""
-    walls = world.walls
-    ax, ay = walls._ax, walls._ay
-    dx, dy = walls._dx, walls._dy
-    rdx = np.cos(angles)[:, :, None]  # (K, W, 1)
-    rdy = np.sin(angles)[:, :, None]
-    sx = ax[None, None, :] - origins_x[:, None, None]  # (K, 1, S)
-    sy = ay[None, None, :] - origins_y[:, None, None]
-    # The (K, W, S) planes dominate this kernel's cost, so the
-    # ``SegmentSoup.cast_rays`` expressions are restated as in-place
-    # updates over four reusable buffers — every elementwise pairing
-    # (and result bit) is unchanged.
-    denom = rdx * dy[None, None, :]
-    t = rdy * dx[None, None, :]
-    denom -= t
-    safe = np.abs(denom) > _EPS
-    denom[~safe] = 1.0  # np.where(safe, denom, 1.0)
-    t_num = sx * dy[None, None, :] - sy * dx[None, None, :]  # (K, 1, S)
-    np.divide(t_num, denom, out=t)
-    u = sx * rdy
-    scratch = sy * rdx
-    u -= scratch
-    u /= denom
-    valid = safe
-    valid &= t >= 0.0
-    valid &= u >= 0.0
-    valid &= u <= 1.0
-    np.logical_not(valid, out=valid)
-    t[valid] = max_range  # np.where(valid, t, max_range)
-    return np.minimum(t.min(axis=2), max_range)

@@ -5,8 +5,20 @@ relevant geometry is planar (the drone holds altitude); this module provides
 the 2D primitives the worlds, physics, sensors and renderer are built on:
 segments, rays, poses, distance queries and ray casting.
 
-All heavy queries accept numpy arrays so the renderer can cast a whole
-camera's worth of rays in one call.
+Every world query has exactly one implementation, here:
+
+* :meth:`Polyline.nearest_segment` — course projection (the serial
+  simulator, the MPC rollout, the camera's floor shader and the batch
+  engine's lanes);
+* :meth:`SegmentSoup.nearest_distance` — wall distance (the collision
+  test, serial and batched);
+* :meth:`SegmentSoup.cast` — the ray/segment solve (depth sensor, lidar,
+  camera wall columns).
+
+Each kernel is one set of expressions over one-coordinate planes, so one
+point (plain floats against ``(S,)`` segment arrays) and many points
+(``(P, 1)`` columns against ``(P, S)`` planes) run the same arithmetic
+and get the same bits.
 """
 
 from __future__ import annotations
@@ -90,24 +102,6 @@ class Segment2:
     def length(self) -> float:
         return float(math.hypot(self.bx - self.ax, self.by - self.ay))
 
-    def point_at(self, t: float) -> np.ndarray:
-        """Point at parameter ``t`` in [0, 1] along the segment."""
-        return np.array(
-            [self.ax + t * (self.bx - self.ax), self.ay + t * (self.by - self.ay)]
-        )
-
-    def distance_to_point(self, point: np.ndarray) -> float:
-        """Euclidean distance from ``point`` to the closest point on the
-        segment."""
-        p = np.asarray(point, dtype=float)
-        d = self.b - self.a
-        denom = float(d @ d)
-        if denom < _EPS:
-            return float(np.linalg.norm(p - self.a))
-        t = float(np.clip((p - self.a) @ d / denom, 0.0, 1.0))
-        closest = self.a + t * d
-        return float(np.linalg.norm(p - closest))
-
 
 @dataclass(frozen=True)
 class Ray2:
@@ -127,9 +121,10 @@ class Ray2:
 class SegmentSoup:
     """A batch of segments stored column-wise for vectorized queries.
 
-    The worlds store their wall geometry in one soup so the depth sensor
-    and camera renderer can intersect many rays against all walls with
-    numpy broadcasting rather than Python loops.
+    The worlds store their wall geometry in one soup.  Its two kernels,
+    :meth:`nearest_distance` and :meth:`cast`, answer every wall query:
+    the collision test, the depth sensor, the lidar and the camera's wall
+    columns, for one point or origin and for many.
     """
 
     def __init__(self, segments: list[Segment2]):
@@ -140,21 +135,73 @@ class SegmentSoup:
         self._ay = np.array([s.ay for s in segments])
         self._dx = np.array([s.bx - s.ax for s in segments])
         self._dy = np.array([s.by - s.ay for s in segments])
+        denom = self._dx * self._dx + self._dy * self._dy
+        # Squared segment lengths; a degenerate segment divides by 1.0.
+        self._denom = np.where(denom < _EPS, 1.0, denom)
+        # One soup is shared by every simulator in a process (cached_world).
+        for array in (self._ax, self._ay, self._dx, self._dy, self._denom):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.segments)
 
+    def nearest_distance(
+        self, px: float | np.ndarray, py: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Distance from each point to its nearest segment.
+
+        Plain-float ``px, py`` give one distance; ``(P, 1)`` columns give
+        ``(P,)`` distances, each the float the one-point call returns.
+        """
+        rx = px - self._ax
+        ry = py - self._ay
+        t = np.clip((rx * self._dx + ry * self._dy) / self._denom, 0.0, 1.0)
+        cx = rx - t * self._dx
+        cy = ry - t * self._dy
+        return np.sqrt((cx * cx + cy * cy).min(axis=-1))
+
     def min_distance(self, point: np.ndarray) -> float:
         """Distance from ``point`` to the nearest segment in the soup."""
         p = np.asarray(point, dtype=float)
-        px = p[0] - self._ax
-        py = p[1] - self._ay
-        denom = self._dx * self._dx + self._dy * self._dy
-        denom = np.where(denom < _EPS, 1.0, denom)
-        t = np.clip((px * self._dx + py * self._dy) / denom, 0.0, 1.0)
-        cx = px - t * self._dx
-        cy = py - t * self._dy
-        return float(np.sqrt(np.min(cx * cx + cy * cy)))
+        return float(self.nearest_distance(p[0], p[1]))
+
+    def cast(
+        self,
+        ox: float | np.ndarray,
+        oy: float | np.ndarray,
+        angles: np.ndarray,
+        max_range: float,
+    ) -> np.ndarray:
+        """Hit distance of each ray from ``(ox, oy)`` at world-frame
+        ``angles``; misses report ``max_range``.
+
+        One origin is plain floats with ``(R,)`` angles; K origins are
+        ``(K, 1, 1)`` columns with ``(K, R)`` angles.  Solves
+        ``origin + t*rd == a + u*sd`` for ``t >= 0``, ``0 <= u <= 1`` over
+        ``(..., R, S)`` planes.  Those planes are the whole cost, so they
+        are updated in place over four buffers.
+        """
+        rdx = np.cos(angles)[..., None]
+        rdy = np.sin(angles)[..., None]
+        sx = self._ax - ox
+        sy = self._ay - oy
+        denom = rdx * self._dy
+        t = rdy * self._dx
+        denom -= t
+        safe = np.abs(denom) > _EPS
+        denom[~safe] = 1.0
+        np.divide(sx * self._dy - sy * self._dx, denom, out=t)
+        u = sx * rdy
+        scratch = sy * rdx
+        u -= scratch
+        u /= denom
+        valid = safe
+        valid &= t >= 0.0
+        valid &= u >= 0.0
+        valid &= u <= 1.0
+        np.logical_not(valid, out=valid)
+        t[valid] = max_range
+        return np.minimum(t.min(axis=-1), max_range)
 
     def cast_rays(
         self,
@@ -162,27 +209,11 @@ class SegmentSoup:
         angles: np.ndarray,
         max_range: float = 1e9,
     ) -> np.ndarray:
-        """Cast rays from ``origin`` at the given world-frame ``angles``.
-
-        Returns an array of hit distances, one per angle; misses report
-        ``max_range``.  Uses the standard ray/segment parametric solve,
-        broadcast over (rays x segments).
-        """
+        """Cast rays from ``origin`` at the given world-frame ``angles``:
+        one hit distance per angle (:meth:`cast` from one origin)."""
         origin = np.asarray(origin, dtype=float)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        rdx = np.cos(angles)[:, None]  # (R, 1)
-        rdy = np.sin(angles)[:, None]
-        sx = self._ax[None, :] - origin[0]  # (1, S)
-        sy = self._ay[None, :] - origin[1]
-        # Solve origin + t*rd == a + u*sd for t >= 0, 0 <= u <= 1.
-        denom = rdx * self._dy[None, :] - rdy * self._dx[None, :]
-        safe = np.abs(denom) > _EPS
-        denom_safe = np.where(safe, denom, 1.0)
-        t = (sx * self._dy[None, :] - sy * self._dx[None, :]) / denom_safe
-        u = (sx * rdy - sy * rdx) / denom_safe
-        valid = safe & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
-        t = np.where(valid, t, max_range)
-        return np.minimum(t.min(axis=1), max_range)
+        return self.cast(origin[0], origin[1], angles, max_range)
 
     def cast_ray(
         self, origin: np.ndarray, angle: float, max_range: float = 1e9
@@ -205,23 +236,35 @@ class Polyline:
             raise ValueError("Polyline requires an (N, 2) array with N >= 2")
         self.points = points
         deltas = np.diff(points, axis=0)
-        self._seg_lengths = np.sqrt((deltas**2).sum(axis=1))
-        if np.any(self._seg_lengths < _EPS):
+        # Per-segment geometry, read-only because one world is shared by
+        # every simulator in a process: lengths, cumulative arclength at
+        # each vertex, unit directions and left normals, plus one
+        # contiguous plane per start and direction coordinate.
+        self.lengths = np.sqrt((deltas**2).sum(axis=1))
+        if np.any(self.lengths < _EPS):
             raise ValueError("Polyline contains a degenerate segment")
-        self._cum = np.concatenate([[0.0], np.cumsum(self._seg_lengths)])
-        self._cum_list = self._cum.tolist()
-        self._dirs = deltas / self._seg_lengths[:, None]
+        self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
+        self._cum_list = self.cum.tolist()
+        self.units = deltas / self.lengths[:, None]
+        self.normals = np.column_stack([-self.units[:, 1], self.units[:, 0]])
+        self.sx, self.sy = points[:-1, 0].copy(), points[:-1, 1].copy()
+        self.ux, self.uy = self.units[:, 0].copy(), self.units[:, 1].copy()
+        for array in (
+            self.lengths, self.cum, self.units, self.normals,
+            self.sx, self.sy, self.ux, self.uy,
+        ):
+            array.setflags(write=False)
 
     @property
     def length(self) -> float:
-        return float(self._cum[-1])
+        return float(self.cum[-1])
 
     def point_at_arclength(self, s: float) -> np.ndarray:
         """World point at arclength ``s`` (clamped to the polyline)."""
         s = float(np.clip(s, 0.0, self.length))
-        i = int(np.searchsorted(self._cum, s, side="right") - 1)
-        i = min(i, len(self._seg_lengths) - 1)
-        return self.points[i] + (s - self._cum[i]) * self._dirs[i]
+        i = int(np.searchsorted(self.cum, s, side="right") - 1)
+        i = min(i, len(self.lengths) - 1)
+        return self.points[i] + (s - self.cum[i]) * self.units[i]
 
     def tangent_at_arclength(self, s: float) -> np.ndarray:
         """Unit tangent at arclength ``s``."""
@@ -231,12 +274,41 @@ class Polyline:
         cum = self._cum_list
         s = min(max(float(s), 0.0), cum[-1])
         i = min(bisect.bisect_right(cum, s) - 1, len(cum) - 2)
-        return self._dirs[i].copy()
+        return self.units[i].copy()
 
     def normal_at_arclength(self, s: float) -> np.ndarray:
         """Unit left-normal at arclength ``s``."""
         t = self.tangent_at_arclength(s)
         return np.array([-t[1], t[0]])
+
+    def nearest_segment(
+        self,
+        px: float | np.ndarray,
+        py: float | np.ndarray,
+        segments: np.ndarray | None = None,
+    ):
+        """Nearest segment to each point: ``(i, t, dx, dy)``.
+
+        ``i`` is the first (lowest-index) segment at the minimum
+        distance, ``t`` the clamped distance along it and ``(dx, dy)``
+        the ``point - closest`` residual.  Plain-float ``px, py`` give
+        scalars; ``(P, 1)`` columns give ``(P,)`` arrays, each entry the
+        bits of the one-point call.  ``segments`` restricts the search to
+        ascending segment indices, ``(C,)`` for one point or ``(P, C)``
+        for many (the floor shader's candidate windows).
+        """
+        sx, sy, ux, uy, lengths = self.sx, self.sy, self.ux, self.uy, self.lengths
+        if segments is not None:
+            sx, sy, ux, uy = sx[segments], sy[segments], ux[segments], uy[segments]
+            lengths = lengths[segments]
+        t = np.clip((px - sx) * ux + (py - sy) * uy, 0.0, lengths)
+        # ``closest`` first, then ``point - closest``: every recorded
+        # course coordinate depends on this order.
+        dx = px - (sx + t * ux)
+        dy = py - (sy + t * uy)
+        i = (dx * dx + dy * dy).argmin(axis=-1)
+        pick = i if dx.ndim == 1 else (np.arange(dx.shape[0]), i)
+        return (i if segments is None else segments[pick]), t[pick], dx[pick], dy[pick]
 
     def project(self, point: np.ndarray) -> tuple[float, float]:
         """Project a point onto the polyline.
@@ -245,16 +317,16 @@ class Polyline:
         the signed lateral offset (positive to the left of travel).
         """
         p = np.asarray(point, dtype=float)
-        rel = p[None, :] - self.points[:-1]
-        t = (rel * self._dirs).sum(axis=1)
-        t = np.clip(t, 0.0, self._seg_lengths)
-        closest = self.points[:-1] + t[:, None] * self._dirs
-        d2 = ((p[None, :] - closest) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        s = float(self._cum[i] + t[i])
-        normal = np.array([-self._dirs[i][1], self._dirs[i][0]])
-        d = float((p - closest[i]) @ normal)
-        return s, d
+        i, t, dx, dy = self.nearest_segment(p[0], p[1])
+        # ``d`` is a 2-vector BLAS dot; an expanded sum rounds differently
+        # and every recorded mission depends on this rounding.
+        return float(self.cum[i] + t), float(np.array([dx, dy]) @ self.normals[i])
+
+    def lateral_offsets(self, i: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Signed offsets of :meth:`nearest_segment` residuals as the
+        expanded sum ``dx * -uy + dy * ux`` (the floor shader's and
+        ``World.batch_course_frames``' rounding, not :meth:`project`'s)."""
+        return dx * -self.uy[i] + dy * self.ux[i]
 
     def offset(self, distance: float) -> "Polyline":
         """A polyline offset laterally by ``distance`` (positive = left).
@@ -263,11 +335,10 @@ class Polyline:
         segments — adequate for the gentle curvatures of corridor worlds.
         """
         normals = np.empty_like(self.points)
-        seg_normals = np.column_stack([-self._dirs[:, 1], self._dirs[:, 0]])
-        normals[0] = seg_normals[0]
-        normals[-1] = seg_normals[-1]
+        normals[0] = self.normals[0]
+        normals[-1] = self.normals[-1]
         if len(self.points) > 2:
-            avg = seg_normals[:-1] + seg_normals[1:]
+            avg = self.normals[:-1] + self.normals[1:]
             norms = np.linalg.norm(avg, axis=1, keepdims=True)
             norms = np.where(norms < _EPS, 1.0, norms)
             normals[1:-1] = avg / norms

@@ -26,36 +26,6 @@ from repro.env.geometry import Polyline, Pose2, Segment2, SegmentSoup, angle_dif
 from repro.errors import SimulationError
 
 
-@dataclass(frozen=True)
-class CenterlineArrays:
-    """Precomputed per-segment centerline geometry (read-only).
-
-    One copy per world, computed once at construction: segment start
-    points, raw direction vectors, lengths and unit directions.  The
-    camera's floor shader, :meth:`World.batch_course_frames` and any other
-    per-frame geometry consumer index these instead of re-deriving them
-    from the polyline every call.
-    """
-
-    starts: np.ndarray  # (S, 2) segment start points
-    dirs: np.ndarray  # (S, 2) raw direction vectors (end - start)
-    lens: np.ndarray  # (S,) segment lengths
-    units: np.ndarray  # (S, 2) unit direction vectors
-
-    @staticmethod
-    def from_polyline(centerline: Polyline) -> "CenterlineArrays":
-        pts = centerline.points
-        dirs = np.diff(pts, axis=0)
-        lens = np.sqrt((dirs**2).sum(axis=1))
-        units = dirs / lens[:, None]
-        arrays = CenterlineArrays(
-            starts=pts[:-1].copy(), dirs=dirs, lens=lens, units=units
-        )
-        for array in (arrays.starts, arrays.dirs, arrays.lens, arrays.units):
-            array.setflags(write=False)
-        return arrays
-
-
 @dataclass
 class World:
     """A corridor world: centerline, walls, and course metadata.
@@ -86,7 +56,6 @@ class World:
     walls: SegmentSoup = field(init=False)
     left_wall: Polyline = field(init=False)
     right_wall: Polyline = field(init=False)
-    centerline_arrays: CenterlineArrays = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:
@@ -102,7 +71,6 @@ class World:
         segments.extend(self._end_caps())
         segments.extend(self.obstacles)
         self.walls = SegmentSoup(segments)
-        self.centerline_arrays = CenterlineArrays.from_polyline(self.centerline)
 
     def _end_caps(self):
         """Close the corridor at both ends so rays cannot escape."""
@@ -191,7 +159,7 @@ class World:
         )
 
     def panorama(self, pose: Pose2, angles: np.ndarray, max_range: float = 100.0) -> np.ndarray:
-        """Vectorized multi-ray cast (body-frame ``angles``) for the camera."""
+        """Vectorized multi-ray cast (body-frame ``angles``) for the lidar."""
         return self.walls.cast_rays(pose.position, pose.yaw + np.asarray(angles), max_range)
 
     def reached_goal(self, position: np.ndarray) -> bool:
@@ -203,24 +171,15 @@ class World:
 
         Returns ``(offsets, course_yaws)``: signed lateral offset and the
         course-tangent heading at the closest centerline point, for an
-        ``(N, 2)`` array of world points.  Used by batched consumers (the
-        MPC rollout, the camera's floor shader) that would otherwise call
-        :meth:`course_coordinates` in a Python loop.
+        ``(N, 2)`` array of world points, for the MPC rollout, which would
+        otherwise call :meth:`course_coordinates` in a Python loop.  The
+        offsets are :meth:`Polyline.lateral_offsets`, which round
+        differently from :meth:`course_coordinates`' ``d``.
         """
         points = np.asarray(points, dtype=float)
-        arrays = self.centerline_arrays
-        starts, lens, units = arrays.starts, arrays.lens, arrays.units
-        rel = points[:, None, :] - starts[None, :, :]  # (N, S, 2)
-        t = np.clip((rel * units[None, :, :]).sum(axis=2), 0.0, lens[None, :])
-        closest = starts[None, :, :] + t[..., None] * units[None, :, :]
-        diff = points[:, None, :] - closest
-        idx = np.argmin((diff**2).sum(axis=2), axis=1)
-        rows = np.arange(points.shape[0])
-        chosen_units = units[idx]
-        normals = np.column_stack([-chosen_units[:, 1], chosen_units[:, 0]])
-        offsets = (diff[rows, idx] * normals).sum(axis=1)
-        course_yaws = np.arctan2(chosen_units[:, 1], chosen_units[:, 0])
-        return offsets, course_yaws
+        line = self.centerline
+        idx, _, dx, dy = line.nearest_segment(points[:, :1], points[:, 1:])
+        return line.lateral_offsets(idx, dx, dy), np.arctan2(line.uy[idx], line.ux[idx])
 
 
 def tunnel_world(length: float = 50.0, width: float = 3.2) -> World:
@@ -301,8 +260,9 @@ _WORLD_CACHE: dict[tuple, World] = {}
 def cached_world(name: str, **params) -> World:
     """Memoized :func:`make_world`: one shared instance per parameter set.
 
-    Worlds are never mutated after construction (walls, centerline arrays
-    and course metadata are all fixed in ``__post_init__``), so every
+    Worlds are never mutated after construction (walls, centerline and
+    course metadata are all fixed in ``__post_init__``, and their
+    per-segment arrays are read-only), so every
     simulator in a process can share one instance.  Building an s-shape
     world costs milliseconds of wall geometry; a sweep re-running hundreds
     of missions on the same map pays it once.  Unhashable parameter

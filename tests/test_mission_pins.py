@@ -1,10 +1,11 @@
 """Pins for mission paths the golden corpus does not cover.
 
 No golden record collides with a wall, only one reaches the goal, and
-none flies the car.  These three missions do, and their
-``mission_signature``s are pinned: a change to how the environment
-steps, projects, detects collisions or reports its state must leave
-them bit-identical.  The quadrotor missions are also flown on the
+none flies the car, runs MPC on a curved course or requests a lidar
+scan.  These five missions do, and their ``mission_signature``s are
+pinned: a change to how the environment steps, projects, detects
+collisions, casts rays or reports its state must leave them
+bit-identical.  The two DNN quadrotor missions are also flown on the
 batched engine, one lane each (their worlds differ), which must
 reproduce the same pins.
 
@@ -20,6 +21,7 @@ shape and metadata, and no rasterizer call) is pinned last.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +31,9 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, run_mission
 from repro.dnn.resnet import build_trainable_trailnet
 from repro.env import camera
+from repro.scenario.generate import compile_config
 from repro.sweep import mission_signature
+from tests.test_geometry_pins import ZIGZAG
 
 #: (config, signature); the comment gives what the mission exercises.
 PINS = {
@@ -56,6 +60,24 @@ PINS = {
             target_velocity=9.0, max_sim_time=6.0, seed=2,
         ),
         "3553132c77c835d17407324f1195fe5eb5a7faed0d4b422d1ce1ba8409610108",
+    ),
+    # MPC on the curved course: its rollout projects through
+    # World.batch_course_frames every step, 100 steps.
+    "sshape-mpc": (
+        CoSimConfig(
+            world="s-shape", controller="mpc", target_velocity=3.0,
+            max_sim_time=1.0, seed=0,
+        ),
+        "21801fc67dca826dbe9b6ef913c2401760653ffc0cbf82ffad41335d76bf1d6e",
+    ),
+    # SLAM on the zigzag with a box and a diamond obstacle: 20 lidar
+    # scans over 200 steps.
+    "zigzag-slam": (
+        replace(
+            compile_config(ZIGZAG, max_sim_time=2.0),
+            controller="slam", target_velocity=3.0,
+        ),
+        "533f9745972a0c5bb913f8352bfa614b9f4ba23f4a07756ea8ee50278d768176",
     ),
 }
 

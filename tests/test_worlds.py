@@ -162,22 +162,33 @@ class TestWorldValidation:
 
 
 class TestCenterlineArrays:
-    """The precomputed per-segment geometry every frame consumer reads."""
+    """The centerline's per-segment arrays every query kernel reads."""
 
-    def test_matches_fresh_computation(self, tunnel):
-        arrays = tunnel.centerline_arrays
-        pts = tunnel.centerline.points
-        dirs = np.diff(pts, axis=0)
-        lens = np.sqrt((dirs**2).sum(axis=1))
-        np.testing.assert_array_equal(arrays.starts, pts[:-1])
-        np.testing.assert_array_equal(arrays.dirs, dirs)
-        np.testing.assert_array_equal(arrays.lens, lens)
-        np.testing.assert_array_equal(arrays.units, dirs / lens[:, None])
+    def test_matches_fresh_computation(self, tunnel, s_shape):
+        for world in (tunnel, s_shape):
+            line = world.centerline
+            pts = line.points
+            dirs = np.diff(pts, axis=0)
+            lens = np.sqrt((dirs**2).sum(axis=1))
+            units = dirs / lens[:, None]
+            np.testing.assert_array_equal(line.sx, pts[:-1, 0])
+            np.testing.assert_array_equal(line.sy, pts[:-1, 1])
+            np.testing.assert_array_equal(line.lengths, lens)
+            np.testing.assert_array_equal(line.cum, np.concatenate([[0.0], np.cumsum(lens)]))
+            np.testing.assert_array_equal(line.units, units)
+            np.testing.assert_array_equal(line.ux, units[:, 0])
+            np.testing.assert_array_equal(line.uy, units[:, 1])
+            normals = np.column_stack([-units[:, 1], units[:, 0]])
+            np.testing.assert_array_equal(line.normals, normals)
 
     def test_arrays_are_read_only(self, s_shape):
-        arrays = s_shape.centerline_arrays
-        with pytest.raises(ValueError):
-            arrays.units[0, 0] = 99.0
+        line = s_shape.centerline
+        for array in (
+            line.sx, line.sy, line.lengths, line.cum,
+            line.units, line.ux, line.uy, line.normals,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
 
     def test_batch_course_frames_uses_cache(self, s_shape):
         # Same answers as the per-point scalar projection.
