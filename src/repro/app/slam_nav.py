@@ -206,7 +206,7 @@ def slam_navigation_app(
         stats.record(pose_error, update.match.iterations, update.flops)
 
         # Act: steer from the *estimated* pose using the onboard map.
-        s, d = world.centerline.project(np.array([update.x, update.y]))
+        s, d = world.course_coordinates(np.array([update.x, update.y]))
         tangent = world.centerline.tangent_at_arclength(s)
         course_yaw = math.atan2(tangent[1], tangent[0])
         heading_err = math.atan2(

@@ -253,7 +253,11 @@ def decode_packet(data: bytes) -> DataPacket:
 
 
 # ---------------------------------------------------------------------------
-# Typed constructors (the vocabulary the rest of the system speaks)
+# Typed constructors (the vocabulary the rest of the system speaks).  Each
+# field is normalized to the type decode_packet returns for it (``int``
+# for integer fields, ``float`` for ``d`` fields), so a packet handed over
+# as an object equals its decoded wire image field for field and type for
+# type.
 # ---------------------------------------------------------------------------
 def sync_set_steps(cycles: int, frames: int) -> DataPacket:
     return DataPacket(PacketType.SYNC_SET_STEPS, (int(cycles), int(frames)))
@@ -280,7 +284,10 @@ def imu_request() -> DataPacket:
 
 
 def imu_response(ax: float, ay: float, az: float, gyro_z: float, timestamp: float) -> DataPacket:
-    return DataPacket(PacketType.IMU_RESP, (ax, ay, az, gyro_z, timestamp))
+    return DataPacket(
+        PacketType.IMU_RESP,
+        (float(ax), float(ay), float(az), float(gyro_z), float(timestamp)),
+    )
 
 
 def camera_request() -> DataPacket:
@@ -298,7 +305,14 @@ def camera_response(
 ) -> DataPacket:
     return DataPacket(
         PacketType.CAMERA_RESP,
-        (int(height), int(width), timestamp, heading_error, lateral_offset, half_width),
+        (
+            int(height),
+            int(width),
+            float(timestamp),
+            float(heading_error),
+            float(lateral_offset),
+            float(half_width),
+        ),
         raw=bytes(pixels),
     )
 
@@ -318,13 +332,28 @@ def state_request() -> DataPacket:
 def state_response(
     x: float, y: float, z: float, yaw: float, u: float, v: float, r: float, timestamp: float
 ) -> DataPacket:
-    return DataPacket(PacketType.STATE_RESP, (x, y, z, yaw, u, v, r, timestamp))
+    return DataPacket(
+        PacketType.STATE_RESP,
+        (
+            float(x),
+            float(y),
+            float(z),
+            float(yaw),
+            float(u),
+            float(v),
+            float(r),
+            float(timestamp),
+        ),
+    )
 
 
 def target_command(
     v_forward: float, v_lateral: float, yaw_rate: float, altitude: float
 ) -> DataPacket:
-    return DataPacket(PacketType.TARGET_CMD, (v_forward, v_lateral, yaw_rate, altitude))
+    return DataPacket(
+        PacketType.TARGET_CMD,
+        (float(v_forward), float(v_lateral), float(yaw_rate), float(altitude)),
+    )
 
 
 def lidar_request() -> DataPacket:

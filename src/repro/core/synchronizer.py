@@ -219,6 +219,19 @@ class Synchronizer:
         #: mission runner, fault injector, and app layer when provided.
         self.obs = registry if registry is not None else mission_registry()
         self.stats = SyncStats(registry=self.obs)
+        # Series every step writes or the CSV row reads, resolved once.
+        obs = self.obs
+        self._grants_total = obs.bind("rose_sync_grants_total")
+        self._grant_packets_total = obs.bind(
+            "rose_link_packets_total",
+            direction="to_rtl",
+            ptype=PacketType.SYNC_GRANT.name,
+        )
+        self._done_ok_total = obs.bind("rose_sync_done_total", result="ok")
+        self._steps_total = obs.bind("rose_sync_steps_total")
+        self._dropped_total = obs.bind("rose_link_faults_total", kind="drop")
+        self._corrupted_total = obs.bind("rose_link_faults_total", kind="corrupt")
+        self._regrants_total = obs.bind("rose_sync_regrants_total")
         self.sim_time = 0.0
         self._pending_rtl: list[DataPacket] = []
         self._configured = False
@@ -372,12 +385,8 @@ class Synchronizer:
         if self.invariants is not None:
             self.invariants.on_grant(step_index)
         self.transport.send(sync_grant(step_index))
-        self.obs.inc("rose_sync_grants_total")
-        self.obs.inc(
-            "rose_link_packets_total",
-            direction="to_rtl",
-            ptype=PacketType.SYNC_GRANT.name,
-        )
+        self._grants_total.inc()
+        self._grant_packets_total.inc()
         if timer is not None:
             t0 = wall_clock()
         record = self.rpc.continue_for_frames(self.sync.frames_per_sync)
@@ -403,7 +412,7 @@ class Synchronizer:
             )
         self.sim_time += self.sync.sync_period_seconds
         self.stats.steps += 1
-        self.obs.inc("rose_sync_steps_total")
+        self._steps_total.inc()
         if self.invariants is not None:
             self.invariants.after_step(step_index, self.sim_time)
         if self.logger is not None:
@@ -435,12 +444,8 @@ class Synchronizer:
         if self.invariants is not None:
             self.invariants.on_grant(step_index)
         self.transport.send(sync_grant(step_index))
-        self.obs.inc("rose_sync_grants_total")
-        self.obs.inc(
-            "rose_link_packets_total",
-            direction="to_rtl",
-            ptype=PacketType.SYNC_GRANT.name,
-        )
+        self._grants_total.inc()
+        self._grant_packets_total.inc()
         return regrants + 1
 
     def _wait_for_sync_done(self, step_index: int) -> None:
@@ -453,11 +458,14 @@ class Synchronizer:
         raises :class:`WatchdogError`, which the mission runner converts
         into a structured failure.
         """
-        # Watchdog deadlines are wall-clock by design: they bound *host*
-        # silence on a dead link, never simulated behaviour.
-        deadline = time.monotonic() + self.sync.sync_done_timeout_s  # repro: allow[DET002]
-        regrant_deadline = time.monotonic() + self.sync.regrant_timeout_s  # repro: allow[DET002]
         regrants = 0
+        deadline = regrant_deadline = 0.0
+        if self.host_service is None:
+            # Watchdog deadlines are wall-clock by design: they bound
+            # *remote* host silence on a dead link, never simulated
+            # behaviour.  An in-process host is watched by regrant count.
+            deadline = time.monotonic() + self.sync.sync_done_timeout_s  # repro: allow[DET002]
+            regrant_deadline = time.monotonic() + self.sync.regrant_timeout_s  # repro: allow[DET002]
         timer = self.stage_timer
         while True:
             if self.host_service:
@@ -475,7 +483,7 @@ class Synchronizer:
                     got_index = int(packet.values[0])
                     if got_index == step_index:
                         done = True
-                        self.obs.inc("rose_sync_done_total", result="ok")
+                        self._done_ok_total.inc()
                         if self.invariants is not None:
                             self.invariants.on_done(got_index)
                     elif got_index < step_index:
@@ -536,9 +544,9 @@ class Synchronizer:
             target_v_forward=target[0],
             target_v_lateral=target[1],
             target_yaw_rate=target[2],
-            packets_dropped=self.stats.packets_dropped,
-            packets_corrupted=self.stats.packets_corrupted,
-            retries=self.stats.sync_regrants,
+            packets_dropped=self._dropped_total.value(),
+            packets_corrupted=self._corrupted_total.value(),
+            retries=self._regrants_total.value(),
         )
 
     # ------------------------------------------------------------------

@@ -6,15 +6,22 @@ using a TCP listener", Section 3.4.1).  Two interchangeable transports
 implement that link here:
 
 * :class:`InProcessTransport` — a deque pair, used when the whole
-  co-simulation runs in one process (the default for experiments; zero
-  copy, deterministic).
+  co-simulation runs in one process (the default for experiments;
+  deterministic and zero copy).  ``send`` encodes each packet only to
+  validate and size it exactly as the wire would, then hands the receiver
+  the packet object itself; no frame is parsed back.
 * :class:`TcpTransport` — real localhost TCP sockets with the same framed
   packet protocol, proving the orchestration works across a process
   boundary exactly as deployed.
 
-Both ends speak :mod:`repro.core.packets` wire bytes; ``recv`` is a
-non-blocking poll returning ``None`` when no complete packet is available,
-which is the semantics the lockstep loop needs.
+Frames are decoded (header, CRC, payload) only where bytes exist: on the
+TCP stream, and for frames pushed through ``send_wire`` — the fault
+injector's possibly corrupted wire images — which the in-process link
+carries as bytes.  Either way a ``send`` raises the
+:class:`~repro.errors.PacketError` that :func:`encode_packet` raises and
+advances the byte counters by the frame's wire size, and ``recv`` is a
+non-blocking poll returning ``None`` when no complete packet is
+available, which is the semantics the lockstep loop needs.
 
 Robustness semantics shared by both transports:
 
@@ -36,6 +43,7 @@ import socket
 import struct
 import time
 from collections import deque
+from typing import Union
 
 from repro.core.faults import FaultInjector
 from repro.core.packets import (
@@ -87,10 +95,15 @@ class Transport:
         pass
 
 
+#: What an in-process link queues: a validated packet object with its wire
+#: size, or a raw frame from ``send_wire``.
+_Queued = Union[tuple[DataPacket, int], bytes]
+
+
 class InProcessTransport(Transport):
     """One end of a deque-backed in-process link (see :func:`transport_pair`)."""
 
-    def __init__(self, outbox: deque[bytes], inbox: deque[bytes]):
+    def __init__(self, outbox: deque[_Queued], inbox: deque[_Queued]):
         self._outbox = outbox
         self._inbox = inbox
         self._closed = False
@@ -100,7 +113,13 @@ class InProcessTransport(Transport):
         self.corrupt_packets = 0
 
     def send(self, packet: DataPacket) -> None:
-        self.send_wire(encode_packet(packet))
+        # Encoding is the validation and the size; nobody reads the frame.
+        size = len(encode_packet(packet))
+        if self._closed:
+            raise TransportError("send on closed transport")
+        self.bytes_sent += size
+        self.packets_sent += 1
+        self._outbox.append((packet, size))
 
     def send_wire(self, wire: bytes) -> None:
         if self._closed:
@@ -113,10 +132,14 @@ class InProcessTransport(Transport):
         if self._closed:
             raise TransportError("recv on closed transport")
         while self._inbox:
-            wire = self._inbox.popleft()
-            self.bytes_received += len(wire)
+            item = self._inbox.popleft()
+            if isinstance(item, tuple):
+                packet, size = item
+                self.bytes_received += size
+                return packet
+            self.bytes_received += len(item)
             try:
-                return decode_packet(wire)
+                return decode_packet(item)
             except PacketError:
                 self.corrupt_packets += 1
         return None
@@ -301,8 +324,8 @@ def transport_pair(kind: str = "inprocess") -> tuple[Transport, Transport]:
     ``kind`` is ``"inprocess"`` or ``"tcp"`` (localhost loopback).
     """
     if kind == "inprocess":
-        a_to_b: deque[bytes] = deque()
-        b_to_a: deque[bytes] = deque()
+        a_to_b: deque[_Queued] = deque()
+        b_to_a: deque[_Queued] = deque()
         return (
             InProcessTransport(outbox=a_to_b, inbox=b_to_a),
             InProcessTransport(outbox=b_to_a, inbox=a_to_b),

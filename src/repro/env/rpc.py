@@ -83,10 +83,11 @@ class RpcServer:
             handler = self._handlers[method]
         except KeyError:
             raise SimulationError(f"unknown RPC method {method!r}") from None
-        if any(type(arg) not in _JSON_SCALARS for arg in args):
+        if args and any(type(arg) not in _JSON_SCALARS for arg in args):
             # Round-trip the arguments through JSON: anything that cannot
             # be marshalled must fail here, at the boundary, not deep
-            # inside.  Scalars round-trip as the identity and skip it.
+            # inside.  No arguments or scalars only round-trip as the
+            # identity and skip it.
             try:
                 args = tuple(json.loads(json.dumps(args)))
             except TypeError as exc:

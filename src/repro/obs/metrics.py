@@ -98,13 +98,43 @@ class _HistogramState:
     count: int = 0
 
 
+class BoundCounter:
+    """One counter series, resolved once by :meth:`MetricsRegistry.bind`.
+
+    Binding checks the name, kind and label set that :meth:`MetricsRegistry.inc`
+    and :meth:`MetricsRegistry.value` check on every call, so a per-step
+    writer pays for the lookup once per mission.  Binding writes nothing:
+    a bound series never incremented stays absent from the snapshot.
+    """
+
+    __slots__ = ("name", "_series", "_key")
+
+    def __init__(
+        self, name: str, series: dict[_LabelKey, int | float], key: _LabelKey
+    ) -> None:
+        self.name = name
+        self._series = series
+        self._key = key
+
+    def inc(self, amount: int = 1) -> None:
+        """Add ``amount`` (>= 0), exactly as :meth:`MetricsRegistry.inc`."""
+        if amount < 0:
+            raise ConfigError(f"counter {self.name} cannot decrease (inc {amount})")
+        series = self._series
+        series[self._key] = series.get(self._key, 0) + amount
+
+    def value(self) -> int:
+        """The series' value (0 if never written)."""
+        return int(self._series.get(self._key, 0))
+
+
 class MetricsRegistry:
     """A set of declared metrics plus their per-label-set series.
 
     All mutation goes through :meth:`inc`, :meth:`set`, :meth:`observe`,
-    and :meth:`advance_to`; reads through :meth:`value`, :meth:`total`,
-    and :meth:`snapshot`.  Using an undeclared metric name, the wrong
-    kind, or the wrong label set raises
+    and :meth:`advance_to` (or a :meth:`bind`-ed counter); reads through
+    :meth:`value`, :meth:`total`, and :meth:`snapshot`.  Using an
+    undeclared metric name, the wrong kind, or the wrong label set raises
     :class:`~repro.errors.ConfigError` — metrics are a typed surface,
     not a free-form dict.
     """
@@ -164,6 +194,11 @@ class MetricsRegistry:
         if spec.kind != kind:
             raise ConfigError(f"{name} is a {spec.kind}, not a {kind}")
         return spec
+
+    def bind(self, name: str, **labels: str) -> BoundCounter:
+        """A handle on one counter series, checked here instead of per call."""
+        spec = self._expect(name, "counter")
+        return BoundCounter(name, self._scalars[name], self._key(spec, labels))
 
     # -- writes ---------------------------------------------------------
     def inc(self, name: str, amount: int = 1, **labels: str) -> None:

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.config import CoSimConfig
-from repro.core.cosim import run_mission
+from repro.core.cosim import MissionResult, run_mission
 from repro.core.faults import FaultPlan
 from repro.dnn import layers as opt
 from repro.dnn import reference as ref
@@ -339,8 +339,15 @@ def _mission_pair_divergence(
     site: str, reference_cfg: CoSimConfig, optimized_cfg: CoSimConfig
 ) -> list[Divergence]:
     """Run both configs and first-diverge their canonical payloads."""
-    want = run_mission(reference_cfg)
-    got = run_mission(optimized_cfg)
+    return _result_pair_divergence(
+        site, run_mission(reference_cfg), run_mission(optimized_cfg)
+    )
+
+
+def _result_pair_divergence(
+    site: str, want: MissionResult, got: MissionResult
+) -> list[Divergence]:
+    """First divergence between two missions' canonical payloads."""
     if mission_signature(want) == mission_signature(got):
         return []
     hit = mission_divergence(canonical_payload(want), canonical_payload(got), site)
@@ -621,14 +628,20 @@ def _oracle_service_vs_serial() -> list[Divergence]:
 @oracle(
     "transport-tcp",
     "TCP transport mission vs. the in-process reference transport "
-    "(bit-identical behaviour)",
+    "(bit-identical behaviour and equal obs metric snapshots)",
 )
 def _oracle_transport_tcp() -> list[Divergence]:
-    return _mission_pair_divergence(
-        "transport-tcp",
-        _tiny_config(transport="inprocess"),
-        _tiny_config(transport="tcp"),
-    )
+    want = run_mission(_tiny_config(transport="inprocess"))
+    got = run_mission(_tiny_config(transport="tcp"))
+    out = _result_pair_divergence("transport-tcp", want, got)
+    # The in-process link hands packet objects over and sizes them as the
+    # wire would; the TCP link really carries the bytes.  Equal link byte
+    # and packet counters (and every other metric) check that sizing.
+    assert want.obs is not None and got.obs is not None
+    hit = first_divergence(want.obs.metrics, got.obs.metrics, "transport-tcp[obs]")
+    if hit is not None:
+        out.append(hit)
+    return out
 
 
 @oracle(

@@ -216,6 +216,42 @@ class TestRegistry:
         assert a == b
 
 
+class TestBoundCounter:
+    def test_same_snapshot_as_inc(self):
+        by_name, bound = small_registry(), small_registry()
+        handle = bound.bind("rose_ops_total", kind="a")
+        bound.bind("rose_ops_total", kind="never")  # binding writes nothing
+        for amount in (1, 2, 0, 5):
+            by_name.inc("rose_ops_total", amount, kind="a")
+            handle.inc(amount)
+        assert bound.snapshot() == by_name.snapshot()
+        assert handle.value() == by_name.value("rose_ops_total", kind="a") == 8
+        assert type(handle.value()) is int
+
+    def test_reads_what_the_registry_writes(self):
+        reg = small_registry()
+        handle = reg.bind("rose_ops_total", kind="a")
+        assert handle.value() == 0
+        reg.advance_to("rose_ops_total", 4, kind="a")
+        assert handle.value() == 4
+
+    def test_checks_happen_at_bind_time(self):
+        reg = small_registry()
+        with pytest.raises(ConfigError):
+            reg.bind("rose_nope_total")  # undeclared name
+        with pytest.raises(ConfigError):
+            reg.bind("rose_level")  # a gauge, not a counter
+        with pytest.raises(ConfigError):
+            reg.bind("rose_ops_total")  # missing the kind label
+        with pytest.raises(ConfigError):
+            reg.bind("rose_ops_total", kind="a", extra="b")
+
+    def test_negative_inc_rejected(self):
+        handle = small_registry().bind("rose_ops_total", kind="a")
+        with pytest.raises(ConfigError):
+            handle.inc(-1)
+
+
 # ---------------------------------------------------------------------------
 # Declarations catalog
 # ---------------------------------------------------------------------------

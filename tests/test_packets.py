@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,62 @@ class TestEncodingErrors:
         ) + b"\x00" * 4
         with pytest.raises(PacketError):
             decode_packet(wire)
+
+
+# ---------------------------------------------------------------------------
+# Typed constructors hold what the wire would deliver
+# ---------------------------------------------------------------------------
+#: (integer-field input, float-field input) per kind of caller value.
+INPUT_KINDS = {
+    "int": (7, 9),
+    "float": (7.0, 1.5),
+    "numpy": (np.int64(7), np.float64(0.1)),
+    "numpy32": (np.uint16(7), np.float32(0.25)),
+}
+
+#: Every typed constructor, called with integer fields ``i`` and ``d``
+#: fields ``f`` (pixel and range tails sized to match).
+CONSTRUCTORS = {
+    "sync_set_steps": lambda i, f: pk.sync_set_steps(i, i),
+    "sync_grant": lambda i, f: pk.sync_grant(i),
+    "sync_done": lambda i, f: pk.sync_done(i, i),
+    "sync_reset": lambda i, f: pk.sync_reset(),
+    "sync_shutdown": lambda i, f: pk.sync_shutdown(),
+    "imu_request": lambda i, f: pk.imu_request(),
+    "imu_response": lambda i, f: pk.imu_response(f, f, f, f, f),
+    "camera_request": lambda i, f: pk.camera_request(),
+    "camera_response": lambda i, f: pk.camera_response(i, i, f, f, f, f, bytes(range(49))),
+    "depth_request": lambda i, f: pk.depth_request(),
+    "depth_response": lambda i, f: pk.depth_response(f),
+    "state_request": lambda i, f: pk.state_request(),
+    "state_response": lambda i, f: pk.state_response(f, f, f, f, f, f, f, f),
+    "target_command": lambda i, f: pk.target_command(f, f, f, f),
+    "lidar_request": lambda i, f: pk.lidar_request(),
+    "lidar_response": lambda i, f: pk.lidar_response(
+        f, f, np.arange(5, dtype=np.float32).tobytes()
+    ),
+}
+
+
+def assert_same_packet(got: DataPacket, want: DataPacket) -> None:
+    """Equal field for field and type for type."""
+    assert got.ptype is want.ptype
+    assert got.values == want.values
+    assert [type(v) for v in got.values] == [type(v) for v in want.values]
+    assert got.raw == want.raw
+    assert type(got.raw) is type(want.raw)
+
+
+class TestConstructorTypes:
+    def test_every_packet_type_has_a_constructor(self):
+        built = {ctor(7, 1.5).ptype for ctor in CONSTRUCTORS.values()}
+        assert built == set(PacketType)
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_fields_have_their_decoded_types(self, name, kind):
+        packet = CONSTRUCTORS[name](*INPUT_KINDS[kind])
+        assert_same_packet(packet, decode_packet(encode_packet(packet)))
 
 
 # ---------------------------------------------------------------------------

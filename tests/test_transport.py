@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.batch import run_batch
 from repro.core import packets as pk
-from repro.core.packets import PacketType
+from repro.core import transport as transport_module
+from repro.core.cosim import run_mission
+from repro.core.packets import DataPacket, PacketType, decode_packet, encode_packet
 from repro.core.transport import InProcessTransport, TcpTransport, transport_pair
-from repro.errors import TransportError
+from repro.errors import PacketError, TransportError
+from repro.sweep import mission_signature
+from repro.verify.golden import DEFAULT_GOLDEN_DIR, config_for_record, load_record
+from tests.test_mission_pins import PINS
+from tests.test_packets import CONSTRUCTORS, INPUT_KINDS, assert_same_packet
 
 
 @pytest.fixture(params=["inprocess", "tcp"])
@@ -83,6 +90,77 @@ class TestInProcessSpecific:
         a.close()
         with pytest.raises(TransportError):
             a.send(pk.depth_request())
+
+
+class TestInProcessObjectLink:
+    """The in-process link hands over packet objects, but delivers and
+    counts exactly what the wire would."""
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_delivers_the_wire_image(self, name, kind):
+        a, b = transport_pair("inprocess")
+        packet = CONSTRUCTORS[name](*INPUT_KINDS[kind])
+        wire = encode_packet(packet)
+        a.send(packet)
+        assert_same_packet(b.recv(), decode_packet(wire))
+        assert a.bytes_sent == b.bytes_received == len(wire)
+        assert a.packets_sent == 1
+        assert b.recv() is None
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            pk.camera_response(8, 24, 0.0, 0.0, 0.0, 1.6, b"123"),  # wrong pixel count
+            pk.sync_grant(-1),  # negative step index
+            DataPacket(PacketType.TARGET_CMD, ("fast", 0.0, 0.0, 1.5)),  # str in a d field
+        ],
+        ids=["pixel-count", "negative-step", "str-field"],
+    )
+    def test_send_raises_what_encode_raises(self, packet):
+        with pytest.raises(PacketError) as encoded:
+            encode_packet(packet)
+        a, b = transport_pair("inprocess")
+        with pytest.raises(PacketError) as sent:
+            a.send(packet)
+        assert str(sent.value) == str(encoded.value)
+        assert (a.bytes_sent, a.packets_sent) == (0, 0)
+        assert b.recv() is None
+
+    def test_pinned_missions_never_decode(self, monkeypatch):
+        def no_decode(_wire):
+            raise AssertionError("the in-process link decoded a frame")
+
+        monkeypatch.setattr(transport_module, "decode_packet", no_decode)
+        config, signature = PINS["sshape-collisions"]
+        assert mission_signature(run_mission(config)) == signature
+        names = ["sshape-collisions", "tunnel-goal"]
+        batched = [run_batch([PINS[name][0]])[0] for name in names]
+        assert [mission_signature(r) for r in batched] == [PINS[n][1] for n in names]
+
+    def test_corrupting_link_still_decodes_its_frames(self, monkeypatch):
+        # Fault injection carries wire bytes end to end: every frame is
+        # decoded and CRC-checked, and corrupted ones are discarded.
+        record = load_record(DEFAULT_GOLDEN_DIR, "tunnel-dnn-faulty-corrupt")
+        outcomes = []
+
+        def counting_decode(wire):
+            try:
+                packet = decode_packet(wire)
+            except PacketError:
+                outcomes.append("discarded")
+                raise
+            outcomes.append("decoded")
+            return packet
+
+        monkeypatch.setattr(transport_module, "decode_packet", counting_decode)
+        result = run_mission(config_for_record(record))
+        discards = record.payload["sync_stats"]["faults"]["corrupt_discards"]
+        assert discards > 0
+        assert outcomes.count("discarded") == discards
+        assert result.sync_stats.corrupt_discards == discards
+        assert outcomes.count("decoded") > 0
+        assert mission_signature(result) == record.signature
 
 
 class TestTcpSpecific:
