@@ -143,7 +143,9 @@ class AppStats:
 
     @property
     def held_commands(self) -> int:
-        """Iterations that re-sent the last command."""
+        """Iterations that re-sent the last command: always 0, since the
+        trail controller has no command to hold before its first frame
+        (kept as a column of the obs record)."""
         return int(self.registry.value("rose_app_held_commands_total"))
 
     @held_commands.setter
@@ -197,15 +199,14 @@ def trail_navigation_app(
     link: a camera wait that expires is retried up to ``sensor_retries``
     times; if every attempt times out the controller *reuses the previous
     frame* (stale-but-sane perception), or — before any frame has ever
-    arrived — simply re-sends the last command.  Left at ``None`` (the
-    default) the wait is indefinite and behaviour is identical to the
-    fault-free controller.
+    arrived, when it has sent no command yet either — sends nothing and
+    tries again.  Left at ``None`` (the default) the wait is indefinite
+    and behaviour is identical to the fault-free controller.
     """
     gains = gains or ControllerGains()
     stats = stats if stats is not None else AppStats()
     model_name = session.graph.name
     last_frame = None
-    last_command = None
     while True:
         request_cycle = yield from rt.current_cycle()
         frame = None
@@ -225,11 +226,8 @@ def trail_navigation_app(
                 stats.sensor_retries += 1
         if frame is None:
             if last_frame is None:
-                # Flying blind with no history: hold the last command (if
-                # any) and try again next iteration.
-                if last_command is not None:
-                    yield from rt.send_packet(last_command)
-                    stats.held_commands += 1
+                # Flying blind with no history (and so no command sent
+                # yet): try again next iteration.
                 continue
             frame = last_frame
             stats.stale_frames_reused += 1
@@ -242,6 +240,5 @@ def trail_navigation_app(
         )
         command = target_command(v_forward, v_lateral, yaw_rate, gains.altitude)
         yield from rt.send_packet(command)
-        last_command = command
         response_cycle = yield from rt.current_cycle()
         stats.record(request_cycle, response_cycle, model_name)

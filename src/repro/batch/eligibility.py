@@ -26,10 +26,12 @@ from repro.core.config import CoSimConfig
 class BatchIneligible(Exception):
     """A lane needs something the batched engine does not vectorize.
 
-    Raised during a batched run only for conditions that are invisible to
-    the pre-run :func:`batch_eligible` screen (e.g. an unexpected packet
-    type on the link).  :class:`~repro.sweep.runner.SweepRunner` then
-    runs the chunk serially, uncharged and not counted as batched.
+    Raised before a batched run when a config fails the
+    :func:`batch_eligible` screen or the configs span batch groups, and
+    during one only when a lane's synchronizer does not ask for exactly
+    the one environment advance per round that the batch makes.
+    :class:`~repro.sweep.runner.SweepRunner` then runs the chunk
+    serially, uncharged and not counted as batched.
     """
 
 

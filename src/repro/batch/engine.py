@@ -8,34 +8,33 @@ dynamics, course projection and camera rasterization execute once per
 *batch* over ``(K, ...)`` arrays (:mod:`repro.batch.kernels`) instead of
 once per mission.
 
-One engine round advances every active lane by one synchronization step:
+One engine round advances every active lane by one synchronization step,
+in the order of RoSÉ's Algorithm 1 (packets are served before the
+environment advances):
 
-1. **Prescan** — peek at each lane's pending SoC packets.  Count camera
-   requests, note the last velocity target; any packet the kernels do
-   not model aborts the batch (:class:`BatchIneligible`).
-2. **Pre-render** — rasterize the camera frames that requesting lanes
-   whose perception reads pixels are about to be served, in one batched
-   pass from pre-advance state; the other requesting lanes get the zero
-   frame the serial RPC server sends them, and no pass runs when no
-   requesting lane reads pixels.  Queue the finished RPC response dicts.
-   Texture noise comes from each lane's own camera RNG in serial draw
-   order.  Lanes with a
+1. **Pre-render** — rasterize the frames the camera requests of *reader*
+   lanes (lanes whose perception reads pixels) are about to be served:
+   one batched pass per request rank over the readers' pre-advance
+   poses, each frame finished by its own lane's camera, so texture noise
+   is drawn in serial order.  Lanes with a
    :class:`~repro.batch.infer.BatchedCnnPerception` are primed here with
-   one whole-batch DNN forward pass.
-3. **Pre-apply targets** — the prescanned velocity targets update the
-   batch controller arrays now, because serially they are dispatched
-   *before* the frame advance.  (The per-lane controller objects are
-   updated by the real dispatch in phase 5, keeping RPC/packet counts
-   serial-identical.)
-4. **Advance** — the batched kernels run ``frames_per_sync`` frames over
-   the gathered active working set, then scatter back and write each
-   lane's scalar state into its simulator objects.
-5. **Step** — each lane's synchronizer executes its unmodified
-   ``step()``: dispatch consumes the queued camera responses, the
-   environment-advance RPC consumes the token for work already done, and
-   the SoC runs its cycle window.  Finished lanes (mission complete,
-   watchdog, or ``max_sim_time``) shut down and collect exactly as
-   :meth:`CoSimulation.run` would.
+   one whole-batch DNN forward pass.  A round with no reader request
+   renders nothing.
+2. **Dispatch** — each lane's synchronizer serves its pending SoC
+   packets (:meth:`Synchronizer.dispatch_pending`) through its own RPC
+   server: readers' camera requests take the pre-rendered frames, every
+   other request runs the serial handler against pre-advance state, and
+   velocity targets reach each lane's flight controller.
+3. **Advance** — the batched kernels run ``frames_per_sync`` frames over
+   the gathered active working set, with the targets dispatch applied,
+   then scatter back and write each lane's scalar state into its
+   simulator objects.
+4. **Step** — each lane's synchronizer executes its unmodified
+   ``step()``: nothing is left to dispatch, the environment-advance RPC
+   consumes the token for work already done, and the SoC runs its cycle
+   window.  Finished lanes (mission complete, watchdog, or
+   ``max_sim_time``) end through :meth:`CoSimulation.finish`, as
+   :meth:`CoSimulation.run` does.
 
 Ragged termination is the active-lane set shrinking round by round.
 
@@ -62,7 +61,7 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, MissionResult
 from repro.core.packets import PacketType
 from repro.core.synchronizer import StepRecord
-from repro.env.camera import encode_image_u8, zero_image_u8
+from repro.env.camera import encode_image_u8
 from repro.env.physics import CollisionEvent
 from repro.env.simulator import TrajectorySample
 from repro.errors import TransportError, WatchdogError
@@ -76,11 +75,11 @@ class _Lane:
     cosim: CoSimulation
     perception: Perception | None
     result: MissionResult | None = None
-    #: Camera responses pre-rendered for this round, FIFO for dispatch.
-    camera_queue: list[dict[str, Any]] = field(default_factory=list)
-    pending_camera_requests: int = 0
+    #: Encoded frames pre-rendered for this round's camera requests of a
+    #: reader lane, FIFO for dispatch.
+    frames: list[bytes] = field(default_factory=list)
     #: Set before the lane's synchronizer steps; consumed by the
-    #: environment-advance RPC shim (phase 4 already did the work).
+    #: environment-advance RPC shim (the batched advance did the work).
     advance_token: bool = False
 
 
@@ -124,10 +123,6 @@ class BatchEngine:
         self.pid_lateral = kernels.PidLanes.zeros(gains.lateral, k)
         self.pid_vertical = kernels.PidLanes.zeros(gains.vertical, k)
         self.pid_yaw = kernels.PidLanes.zeros(gains.yaw_rate, k)
-        self.target_forward = np.zeros(k)
-        self.target_lateral = np.zeros(k)
-        self.target_yaw_rate = np.zeros(k)
-        self.target_altitude = np.zeros(k)
         #: Dynamics clock / frame counter — uniform across lanes because
         #: every active lane advances every round (lockstep); finished
         #: lanes freeze at the values last written back.
@@ -145,8 +140,10 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def _install_shims(self, lane: _Lane) -> None:
-        """Reroute the two env-advancing RPC handlers through the batch.
+        """Reroute the RPC handlers whose work the batch does.
 
+        The environment advance is every lane's; the camera is a reader
+        lane's only (a non-reader's handler renders nothing).
         Handler-level overrides keep :meth:`RpcServer.call` untouched, so
         marshalling and call counts stay serial-exact.
         """
@@ -154,9 +151,7 @@ class BatchEngine:
         handlers = server._handlers
 
         def get_camera_image() -> dict[str, Any]:
-            if not lane.camera_queue:
-                raise BatchIneligible("camera request arrived without a prescan")
-            return lane.camera_queue.pop(0)
+            return server.camera_payload(lane.frames.pop(0))
 
         def continue_for_frames(frames: int) -> StepRecord:
             if not lane.advance_token or int(frames) != self.frames_per_sync:
@@ -166,21 +161,15 @@ class BatchEngine:
             lane.advance_token = False
             return server.step_record()
 
-        handlers["get_camera_image"] = get_camera_image
+        if lane.cosim.env.pixels:
+            handlers["get_camera_image"] = get_camera_image
         handlers["continue_for_frames"] = continue_for_frames
 
     # ------------------------------------------------------------------
     def run(self) -> list[MissionResult]:
         """Fly every lane to completion; results in lane order."""
         for lane in self.lanes:
-            lane.cosim.synchronizer.configure()
-            lane.cosim.rpc.takeoff()
-            target = lane.cosim.env.controller.target
-            i = lane.index
-            self.target_forward[i] = target.v_forward
-            self.target_lateral[i] = target.v_lateral
-            self.target_yaw_rate[i] = target.yaw_rate
-            self.target_altitude[i] = target.altitude
+            lane.cosim.start()
         while True:
             active = [lane for lane in self.lanes if lane.result is None]
             if not active:
@@ -190,100 +179,41 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def _round(self, active: list[_Lane]) -> None:
-        max_requests = self._prescan(active)
-        if max_requests:
-            self._pre_render(active, max_requests)
+        self._pre_render(active)
+        for lane in active:
+            lane.cosim.synchronizer.dispatch_pending()
         self._advance(active)
         self._step_lanes(active)
 
-    # -- phase 1: prescan ----------------------------------------------
-    def _prescan(self, active: list[_Lane]) -> int:
-        max_requests = 0
+    # -- step 1: batched camera pre-render of the reader lanes ---------
+    def _pre_render(self, active: list[_Lane]) -> None:
+        requests: list[tuple[_Lane, int]] = []
         for lane in active:
-            requests = 0
-            target = None
-            for packet in lane.cosim.synchronizer._pending_rtl:
-                if packet.ptype == PacketType.CAMERA_REQ:
-                    requests += 1
-                elif packet.ptype == PacketType.TARGET_CMD:
-                    target = packet.values
-                else:
-                    raise BatchIneligible(
-                        f"unvectorized packet from SoC: {packet.ptype.name}"
-                    )
-            lane.pending_camera_requests = requests
-            max_requests = max(max_requests, requests)
-            if target is not None:
-                # Serially this target is dispatched before the frame
-                # advance; mirror that on the batch arrays.  (JSON
-                # marshalling round-trips floats exactly.)
-                i = lane.index
-                self.target_forward[i] = float(target[0])
-                self.target_lateral[i] = float(target[1])
-                self.target_yaw_rate[i] = float(target[2])
-                self.target_altitude[i] = float(target[3])
-        return max_requests
-
-    # -- phase 2: batched camera pre-render ----------------------------
-    def _pre_render(self, active: list[_Lane], max_requests: int) -> None:
-        requesting = [lane for lane in active if lane.pending_camera_requests > 0]
-        metadata: dict[int, tuple[float, float, float]] = {}
+            if lane.cosim.env.pixels:
+                pending = lane.cosim.synchronizer._pending_rtl
+                n = sum(packet.ptype == PacketType.CAMERA_REQ for packet in pending)
+                if n:
+                    requests.append((lane, n))
+                    if isinstance(lane.perception, BatchedCnnPerception):
+                        lane.perception.begin_round()
         cnn_items: list[tuple[BatchedCnnPerception, bytes, int, int]] = []
-        for lane in requesting:
-            # Pre-advance ground-truth metadata, from the lane env's
-            # course-state cache (written back at the end of the
-            # previous round's advance).
-            env = lane.cosim.env
-            _s, d, heading_error = env.course_state()
-            metadata[lane.index] = (env.sim_time, heading_error, d)
-            if isinstance(lane.perception, BatchedCnnPerception):
-                lane.perception.begin_round()
-        for j in range(max_requests):
-            subset = [lane for lane in requesting if lane.pending_camera_requests > j]
-            rendered = self._render(subset)
-            for lane in subset:
-                params = lane.cosim.env.camera.params
-                height, width = params.height, params.width
-                pixels = rendered.get(lane.index)
-                if pixels is None:  # reads no pixels: the serial RPC's zero frame
-                    pixels = zero_image_u8(params)
-                timestamp, heading_error, d = metadata[lane.index]
-                lane.camera_queue.append(
-                    {
-                        "height": height,
-                        "width": width,
-                        "pixels": pixels,
-                        "timestamp": timestamp,
-                        "heading_error": heading_error,
-                        "lateral_offset": d,
-                        "half_width": self.world.half_width,
-                    }
-                )
+        for rank in range(max((n for _lane, n in requests), default=0)):
+            readers = [lane for lane, n in requests if n > rank]
+            idx = np.array([lane.index for lane in readers])
+            images = kernels.render_lanes(
+                self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
+            )
+            for lane, image in zip(readers, images):
+                camera = lane.cosim.env.camera
+                pixels = encode_image_u8(camera.finish_frame(image))
+                lane.frames.append(pixels)
                 if isinstance(lane.perception, BatchedCnnPerception):
-                    cnn_items.append((lane.perception, pixels, height, width))
+                    params = camera.params
+                    cnn_items.append((lane.perception, pixels, params.height, params.width))
         if cnn_items:
             BatchedCnnPerception.prime_batch(cnn_items)
 
-    def _render(self, lanes: list[_Lane]) -> dict[int, bytes]:
-        """The encoded frame of every lane whose perception reads pixels.
-
-        One render call covers those lanes' pre-advance poses, and each
-        frame's noise comes from its own lane's camera; with no reader
-        among ``lanes`` nothing is rendered.
-        """
-        readers = [lane for lane in lanes if lane.cosim.env.pixels]
-        if not readers:
-            return {}
-        idx = np.array([lane.index for lane in readers])
-        images = kernels.render_lanes(
-            self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
-        )
-        return {
-            lane.index: encode_image_u8(lane.cosim.env.camera.finish_frame(image))
-            for lane, image in zip(readers, images)
-        }
-
-    # -- phase 4: batched frame advance --------------------------------
+    # -- step 3: batched frame advance --------------------------------
     def _advance(self, active: list[_Lane]) -> None:
         k = len(active)
         p = self.params
@@ -300,10 +230,6 @@ class BatchEngine:
             pid_l = self.pid_lateral
             pid_v = self.pid_vertical
             pid_y = self.pid_yaw
-            tgt_f = self.target_forward
-            tgt_l = self.target_lateral
-            tgt_yr = self.target_yaw_rate
-            tgt_alt = self.target_altitude
         else:
             idx = np.array([lane.index for lane in active])
             w = self.dyn.gather(idx)
@@ -311,10 +237,13 @@ class BatchEngine:
             pid_l = self.pid_lateral.gather(idx)
             pid_v = self.pid_vertical.gather(idx)
             pid_y = self.pid_yaw.gather(idx)
-            tgt_f = self.target_forward[idx]
-            tgt_l = self.target_lateral[idx]
-            tgt_yr = self.target_yaw_rate[idx]
-            tgt_alt = self.target_altitude[idx]
+        # The targets this round's dispatch applied, one column each.
+        tgt_f, tgt_l, tgt_yr, tgt_alt = np.array(
+            [
+                (t.v_forward, t.v_lateral, t.yaw_rate, t.altitude)
+                for t in (lane.cosim.env.controller.target for lane in active)
+            ]
+        ).T
         goal = self.world.goal_arclength
         normals = self.world.centerline.normals
 
@@ -431,11 +360,12 @@ class BatchEngine:
             # The last frame's (serial-exact) course coordinates.
             env.set_course_coordinates(ss[m], ds[m])
 
-    # -- phase 5: per-lane synchronizer step ----------------------------
+    # -- step 4: per-lane synchronizer step -----------------------------
     def _step_lanes(self, active: list[_Lane]) -> None:
         for lane in active:
             lane.advance_token = True
-            synchronizer = lane.cosim.synchronizer
+            cosim = lane.cosim
+            synchronizer = cosim.synchronizer
             failure: str | None = None
             try:
                 synchronizer.step()
@@ -443,25 +373,14 @@ class BatchEngine:
                 failure = "watchdog"
             except TransportError:
                 failure = "link_timeout"
-            if failure is None:
-                if lane.camera_queue:
-                    raise BatchIneligible("pre-rendered camera frames went unconsumed")
-                if lane.advance_token:
-                    raise BatchIneligible("synchronizer skipped the environment advance")
-            if failure is not None:
-                self._finish(lane, failure)
-            elif synchronizer.mission_complete:
-                self._finish(lane, None)
-            elif synchronizer.sim_time >= lane.cosim.config.max_sim_time:
-                self._finish(lane, None)
-
-    def _finish(self, lane: _Lane, failure: str | None) -> None:
-        """Shut down and collect one lane, exactly as ``CoSimulation.run``."""
-        try:
-            lane.cosim.synchronizer.shutdown()
-        except TransportError:
-            failure = failure or "link_timeout"
-        lane.result = lane.cosim._collect(failure)
+            if failure is None and lane.advance_token:
+                raise BatchIneligible("synchronizer skipped the environment advance")
+            if (
+                failure is not None
+                or synchronizer.mission_complete
+                or synchronizer.sim_time >= cosim.config.max_sim_time
+            ):
+                lane.result = cosim.finish(failure)
 
 
 # ----------------------------------------------------------------------
@@ -474,8 +393,8 @@ def run_batch(
     """Fly one compatible group in lockstep; results in input order.
 
     :class:`BatchIneligible` reaches the caller, whether the pre-run
-    screen refuses a config or the run meets something the kernels do
-    not model (an unexpected packet on the link).
+    screen refuses a config or a lane's synchronizer does not ask for
+    exactly the one environment advance per round that the batch makes.
     :class:`~repro.sweep.runner.SweepRunner` then runs the chunk
     serially and does not count it as batched.
     """

@@ -414,8 +414,7 @@ class CoSimulation:
         harness bug.
         """
         failure_reason: str | None = None
-        self.synchronizer.configure()
-        self.rpc.takeoff()
+        self.start()
         try:
             self.synchronizer.run(
                 max_sim_time=self.config.max_sim_time,
@@ -425,6 +424,16 @@ class CoSimulation:
             failure_reason = "watchdog"
         except TransportError:
             failure_reason = "link_timeout"
+        return self.finish(failure_reason)
+
+    def start(self) -> None:
+        """Program the bridge's budgets and take off: what precedes the
+        first lockstep step."""
+        self.synchronizer.configure()
+        self.rpc.takeoff()
+
+    def finish(self, failure_reason: str | None) -> MissionResult:
+        """Shut the link down and collect the flown mission's result."""
         try:
             self.synchronizer.shutdown()
         except TransportError:

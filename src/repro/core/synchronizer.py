@@ -47,7 +47,7 @@ from repro.core.transport import Transport
 from repro.env.rpc import RpcClient
 from repro.errors import SyncError, WatchdogError
 from repro.obs.declarations import mission_registry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import BoundCounter, MetricsRegistry
 
 
 class StepRecord(TypedDict):
@@ -133,8 +133,8 @@ class SyncStats:
 
     @property
     def corrupt_discards(self) -> int:
-        """Frames discarded on decode (synchronizer end; the mission
-        runner folds in the FireSim end when it collects results)."""
+        """Frames discarded on decode at either link end (the mission
+        runner writes the total when it collects results)."""
         return int(self.registry.value("rose_link_crc_discards_total"))
 
     @corrupt_discards.setter
@@ -219,14 +219,13 @@ class Synchronizer:
         #: mission runner, fault injector, and app layer when provided.
         self.obs = registry if registry is not None else mission_registry()
         self.stats = SyncStats(registry=self.obs)
+        #: ``rose_link_packets_total`` series by (direction, type), bound
+        #: on the first packet of each (:meth:`_packets_total`).
+        self._packet_counters: dict[tuple[str, PacketType], BoundCounter] = {}
         # Series every step writes or the CSV row reads, resolved once.
         obs = self.obs
         self._grants_total = obs.bind("rose_sync_grants_total")
-        self._grant_packets_total = obs.bind(
-            "rose_link_packets_total",
-            direction="to_rtl",
-            ptype=PacketType.SYNC_GRANT.name,
-        )
+        self._grant_packets_total = self._packets_total("to_rtl", PacketType.SYNC_GRANT)
         self._done_ok_total = obs.bind("rose_sync_done_total", result="ok")
         self._steps_total = obs.bind("rose_sync_steps_total")
         self._dropped_total = obs.bind("rose_link_faults_total", kind="drop")
@@ -246,33 +245,62 @@ class Synchronizer:
         self.transport.send(
             sync_set_steps(self.sync.cycles_per_sync, self.sync.frames_per_sync)
         )
-        self.obs.inc(
-            "rose_link_packets_total",
-            direction="to_rtl",
-            ptype=PacketType.SYNC_SET_STEPS.name,
-        )
+        self._packets_total("to_rtl", PacketType.SYNC_SET_STEPS).inc()
         if self.host_service:
             self.host_service()
         self._configured = True
 
     def shutdown(self) -> None:
         self.transport.send(sync_shutdown())
-        self.obs.inc(
-            "rose_link_packets_total",
-            direction="to_rtl",
-            ptype=PacketType.SYNC_SHUTDOWN.name,
-        )
+        self._packets_total("to_rtl", PacketType.SYNC_SHUTDOWN).inc()
         if self.host_service:
             self.host_service()
 
+    def _packets_total(self, direction: str, ptype: PacketType) -> BoundCounter:
+        """The ``rose_link_packets_total`` series of one direction and
+        packet type, bound on first use (binding writes nothing)."""
+        key = (direction, ptype)
+        counter = self._packet_counters.get(key)
+        if counter is None:
+            counter = self.obs.bind(
+                "rose_link_packets_total", direction=direction, ptype=ptype.name
+            )
+            self._packet_counters[key] = counter
+        return counter
+
     # ------------------------------------------------------------------
+    def dispatch_pending(self) -> None:
+        """Algorithm 1's first phase: translate the SoC I/O packets that
+        arrived during the previous period into environment API calls.
+
+        :meth:`step` begins with this call.  A caller may make it earlier,
+        while the environment still holds its pre-advance state: the
+        batched engine does, so that the velocity targets a step
+        dispatches are applied before its batched advance.  The step's
+        own call then finds nothing left to dispatch, and no packet is
+        served twice.  The fault plan's ``begin_step`` runs in
+        :meth:`step` before this call, so dispatching ahead of the step
+        is only sound without a fault plan; the engine's lanes never
+        carry one (:func:`~repro.batch.eligibility.batch_eligible`).
+        Dispatch time is charged to the ``env_step`` stage wherever the
+        call is made.
+        """
+        if not self._pending_rtl:
+            return
+        rtl_data, self._pending_rtl = self._pending_rtl, []
+        timer = self.stage_timer
+        if timer is not None:
+            t0 = wall_clock()
+        for packet in rtl_data:
+            self._dispatch_rtl_packet(packet)
+        if timer is not None:
+            timer.add("env_step", wall_clock() - t0)
+
     def _dispatch_rtl_packet(self, packet: DataPacket) -> None:
         """Translate one SoC I/O packet into environment API calls."""
         self.stats.packets_from_rtl += 1
         ptype = packet.ptype
-        self.obs.inc(
-            "rose_link_packets_total", direction="from_rtl", ptype=ptype.name
-        )
+        self._packets_total("from_rtl", ptype).inc()
         if self.tracer is not None:
             self.tracer.instant(
                 ptype.name, "packet-from-rtl", self.sim_time, track="io"
@@ -346,9 +374,7 @@ class Synchronizer:
 
     def _transmit(self, packet: DataPacket) -> None:
         self.stats.packets_to_rtl += 1
-        self.obs.inc(
-            "rose_link_packets_total", direction="to_rtl", ptype=packet.ptype.name
-        )
+        self._packets_total("to_rtl", packet.ptype).inc()
         if self.tracer is not None:
             self.tracer.instant(
                 packet.ptype.name, "packet-to-rtl", self.sim_time, track="io"
@@ -363,22 +389,17 @@ class Synchronizer:
         if self.faults is not None:
             self.faults.begin_step(self.stats.steps)
         # Stage accounting (observational only — never alters behaviour):
-        # env work is timed inline here, SoC work inside the polling loop,
-        # and the remainder of the step is charged to sync overhead.
+        # env work is timed in dispatch_pending and around the advance,
+        # SoC work inside the polling loop, and the remainder of the step
+        # is charged to sync overhead.
         timer = self.stage_timer
-        env_seconds = 0.0
         if timer is not None:
             step_t0 = wall_clock()
+            env_before = timer.get("env_step")
             soc_before = timer.get("soc_step")
 
         # % Translate IO packets into AirSim APIs %
-        rtl_data, self._pending_rtl = self._pending_rtl, []
-        if timer is not None:
-            t0 = wall_clock()
-        for packet in rtl_data:
-            self._dispatch_rtl_packet(packet)
-        if timer is not None:
-            env_seconds += wall_clock() - t0
+        self.dispatch_pending()
 
         # % Allocate tokens to start AirSim and FireSim %
         step_index = self.stats.steps
@@ -392,7 +413,7 @@ class Synchronizer:
         record = self.rpc.continue_for_frames(self.sync.frames_per_sync)
         self.mission_complete = record["mission_complete"]
         if timer is not None:
-            env_seconds += wall_clock() - t0
+            timer.add("env_step", wall_clock() - t0)
 
         # % Poll simulators until both finish %
         try:
@@ -419,8 +440,8 @@ class Synchronizer:
             self.logger.log(self._log_row(record))
         if timer is not None:
             total = wall_clock() - step_t0
+            env_seconds = timer.get("env_step") - env_before
             soc_seconds = timer.get("soc_step") - soc_before
-            timer.add("env_step", env_seconds)
             timer.add("sync_overhead", max(total - env_seconds - soc_seconds, 0.0))
 
     def _update_fault_stats(self) -> None:
@@ -430,7 +451,6 @@ class Synchronizer:
             self.stats.packets_corrupted = counters.corrupted
             self.stats.packets_duplicated = counters.duplicated
             self.stats.packets_delayed = counters.delayed
-        self.stats.corrupt_discards = getattr(self.transport, "corrupt_packets", 0)
 
     def _regrant(self, step_index: int, regrants: int) -> int:
         """Watchdog retry: re-issue the grant for a step that went silent."""

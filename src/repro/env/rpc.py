@@ -117,6 +117,24 @@ class RpcServer:
             "mission_complete": sim.mission_complete,
         }
 
+    def camera_payload(self, pixels: bytes) -> dict[str, Any]:
+        """The camera RPC's response around the encoded frame ``pixels``:
+        the camera's shape, the current sim time and the ground-truth
+        metadata of the current pose."""
+        sim = self.simulator
+        params = sim.camera.params
+        _s, d, heading_error = sim.course_state()
+        return {
+            "height": params.height,
+            "width": params.width,
+            "pixels": pixels,
+            "timestamp": sim.sim_time,
+            # Ground-truth image metadata (see EnvSimulator.course_state).
+            "heading_error": heading_error,
+            "lateral_offset": d,
+            "half_width": sim.world.half_width,
+        }
+
     # -- handlers ------------------------------------------------------
     def _reset(self) -> bool:
         self.simulator.reset()
@@ -139,22 +157,11 @@ class RpcServer:
         length, hence the wire format, is unchanged.
         """
         sim = self.simulator
-        params = sim.camera.params
         if sim.pixels:
             pixels = encode_image_u8(sim.get_camera_image())
         else:
-            pixels = zero_image_u8(params)
-        _s, d, heading_error = sim.course_state()
-        return {
-            "height": params.height,
-            "width": params.width,
-            "pixels": pixels,
-            "timestamp": sim.sim_time,
-            # Ground-truth image metadata (see EnvSimulator.course_state).
-            "heading_error": heading_error,
-            "lateral_offset": d,
-            "half_width": sim.world.half_width,
-        }
+            pixels = zero_image_u8(sim.camera.params)
+        return self.camera_payload(pixels)
 
     def _get_imu(self) -> dict[str, float]:
         reading = self.simulator.get_imu()

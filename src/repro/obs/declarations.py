@@ -25,9 +25,10 @@ LATENCY_CYCLE_BUCKETS: tuple[float, ...] = (
 
 #: Metrics declared but not reachable from any committed mission
 #: configuration; the coverage check skips them.  ``held_commands``
-#: mirrors an AppStats column whose guarding branch (command held with
-#: no frame ever seen) cannot fire under the shipped control flow —
-#: kept because the thin-view migration must cover every legacy column.
+#: mirrors an AppStats column that nothing writes any more: the trail
+#: controller has sent no command before its first frame, so it has
+#: none to hold.  It stays declared because every golden obs snapshot
+#: lists each declared metric.
 #: The ``rose_sweep_*`` / ``rose_cache_*`` series live in the *sweep*
 #: registry (not in mission snapshots) and record sweep-engine
 #: resilience activity (retries, crashes, journal replays): they only

@@ -9,6 +9,8 @@ through the sweep runner.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,13 @@ from repro.batch import (
 )
 from repro.batch.engine import BatchEngine
 from repro.batch.infer import BatchedCnnPerception
+from repro.core import packets as pk
 from repro.core.config import CoSimConfig
-from repro.core.cosim import run_mission
+from repro.core.cosim import CoSimulation, run_mission
 from repro.core.faults import FaultPlan
+from repro.core.packets import PacketType
 from repro.dnn.resnet import build_trainable_trailnet
+from repro.env.rpc import RpcServer
 from repro.sweep import ResultCache, SweepRunner, mission_signature
 
 
@@ -148,6 +153,57 @@ class TestBatchBitIdentity:
         assert lanes_per_call == [1] * cnn.sync_stats.camera_requests
         assert reader.primed_hits == cnn.inference_count == 19
         assert reader.fallback_inferences == 0
+
+    def test_lane_with_imu_program_matches_serial(self):
+        # A lane whose program reads the IMU every loop and steers by the
+        # gyro: its packets are served by its own RPC server before the
+        # batched advance, exactly as a serial step serves them.
+        def imu_program(rt):
+            while True:
+                imu = yield from rt.request_response(pk.imu_request(), PacketType.IMU_RESP)
+                gyro_z = imu.values[3]
+                yield from rt.send_packet(pk.target_command(2.0, 0.0, -0.5 * gyro_z, 1.5))
+                yield from rt.delay(2_000_000)
+
+        configs = [_cfg(seed=0), _cfg(seed=1)]
+        engine = BatchEngine(configs)
+        engine.lanes[1].cosim.soc.load_program(imu_program)
+        dnn, imu = engine.run()
+
+        serial = CoSimulation(configs[1])
+        serial.soc.load_program(imu_program)
+        serial_imu = serial.run()
+        assert imu.sync_stats.imu_requests > 0
+        assert imu.sync_stats.target_commands > 0
+        assert mission_signature(imu) == mission_signature(serial_imu)
+        assert mission_signature(dnn) == mission_signature(run_mission(configs[0]))
+
+    def test_lanes_make_their_serial_rpc_calls(self, monkeypatch):
+        # A CNN lane beside a behavioural one: each lane's RPC server is
+        # asked for the same methods, in the same order, as in the lane's
+        # serial mission, so no request is served twice or skipped.
+        calls = defaultdict(list)
+        call = RpcServer.call
+
+        def recording_call(server, method, *args):
+            calls[server].append(method)
+            return call(server, method, *args)
+
+        monkeypatch.setattr(RpcServer, "call", recording_call)
+        model = build_trainable_trailnet(seed=7)
+        configs = [_cfg(seed=s, argmax_policy=True) for s in (0, 1)]
+        engine = BatchEngine(configs, [BatchedCnnPerception(model), None])
+        engine.run()
+        serial = [
+            CoSimulation(configs[0], perception=CnnPerception(model)),
+            CoSimulation(configs[1]),
+        ]
+        for cosim in serial:
+            cosim.run()
+        for lane, cosim in zip(engine.lanes, serial):
+            methods = calls[lane.cosim._rpc_server]
+            assert methods == calls[cosim._rpc_server]
+            assert {"get_camera_image", "send_velocity_target"} <= set(methods)
 
 
 class TestCourseStateCache:
@@ -283,7 +339,7 @@ class TestSweepIntegration:
         def refusing_round(engine, active):
             rounds.append(len(active))
             if len(rounds) == 3:
-                raise BatchIneligible("unvectorized packet from SoC: IMU_REQ")
+                raise BatchIneligible("unexpected environment advance of 3 frame(s)")
             original(engine, active)
 
         monkeypatch.setattr(BatchEngine, "_round", refusing_round)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.batch import run_batch
 from repro.core import packets as pk
 from repro.core.config import CoSimConfig, SyncConfig
 from repro.core.cosim import CoSimulation
 from repro.core.csvlog import SyncLogger
 from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer
+from repro.core.timing import StageTimer
 from repro.core.transport import transport_pair
 from repro.env.rpc import RpcClient, RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
@@ -253,6 +255,38 @@ class TestRpcBudget:
                 ["get_imu"] * dispatched + ["continue_for_frames"]
             )
         assert sync.stats.imu_requests == 1
+
+    @staticmethod
+    def imu_loop(rt):
+        while True:
+            yield from rt.request_response(pk.imu_request(), PacketType.IMU_RESP)
+
+    def test_step_after_dispatch_pending_serves_nothing_again(self):
+        # The batched engine dispatches a step's packets before its
+        # advance; the step's own dispatch must then find nothing left.
+        recorder, sync = self.build_recorded(self.imu_loop)
+        sync.step()  # the first request is emitted during this period
+        for _ in range(4):
+            before = len(recorder.methods)
+            sync.dispatch_pending()
+            assert recorder.methods[before:] == ["get_imu"]
+            before = len(recorder.methods)
+            sync.step()
+            assert recorder.methods[before:] == ["continue_for_frames"]
+        assert sync.stats.imu_requests == 4
+
+    def test_dispatch_outside_step_is_charged_to_env_step(self):
+        _recorder, sync = self.build_recorded(self.imu_loop)
+        sync.stage_timer = timer = StageTimer()
+        sync.step()
+        before = timer.get("env_step")
+        sync.dispatch_pending()
+        assert sync.stats.imu_requests == 1
+        assert timer.get("env_step") > before
+        # The batched engine dispatches outside step() for every lane.
+        (result,) = run_batch([CoSimConfig(world="tunnel", max_sim_time=1.0)])
+        assert result.sync_stats.camera_requests > 0
+        assert result.stage_timings["env_step"] > 0.0
 
     def test_mission_rpc_count(self):
         cosim = CoSimulation(CoSimConfig(world="tunnel", max_sim_time=1.0))
