@@ -45,21 +45,19 @@ def wall_clock() -> float:
 
 
 class StageTimer:
-    """Accumulates wall-clock seconds (and call counts) per stage."""
+    """Accumulates wall-clock seconds per stage."""
 
     #: Canonical stage names, in reporting order.
     STAGES = ("env_step", "soc_step", "sync_overhead", "inference")
 
-    __slots__ = ("seconds", "counts")
+    __slots__ = ("seconds",)
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {stage: 0.0 for stage in self.STAGES}
-        self.counts: dict[str, int] = {stage: 0 for stage in self.STAGES}
 
     def add(self, stage: str, seconds: float) -> None:
         """Accumulate ``seconds`` of wall time into ``stage``."""
         self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-        self.counts[stage] = self.counts.get(stage, 0) + 1
 
     def get(self, stage: str) -> float:
         return self.seconds.get(stage, 0.0)

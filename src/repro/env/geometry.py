@@ -19,6 +19,40 @@ Each kernel is one set of expressions over one-coordinate planes, so one
 point (plain floats against ``(S,)`` segment arrays) and many points
 (``(P, 1)`` columns against ``(P, S)`` planes) run the same arithmetic
 and get the same bits.
+
+The one-point queries the simulator asks on every physics frame,
+:meth:`SegmentSoup.min_distance` (the collision test) and
+:meth:`Polyline.project` (the ``(s, d)`` course coordinates), do not scan
+every segment.  Each soup and polyline keeps a :class:`_CellMemo`: a
+uniform grid of square cells, filled lazily, that lists for each visited
+cell the segments that can be nearest to a point in it.  The query scans
+only those candidates, in plain Python floats, with the array kernel's
+expressions term for term.  ``np.clip`` becomes ``v if v > 0.0 else 0.0``
+then ``v if v < hi else hi``: clipped against the per-segment lengths, a
+``-0.0`` comes out ``+0.0``, where the builtin ``max(-0.0, 0.0)`` keeps
+the sign.  (The soup's clip against scalar bounds keeps it, but its
+``t`` reaches the distance only through squares.)
+
+The cell rule: with ``c`` the cell's centre, ``D(x, j)`` the distance
+from ``x`` to segment ``j`` and ``m = min_j D(c, j)``, the candidates are
+every ``j`` with ``D(c, j) <= m + diagonal + slack``, in ascending index
+order.  Proof that they hold the full scan's answer for every point ``p``
+of the cell: ``|p - c|`` is at most half the diagonal, and ``D`` is
+1-Lipschitz in the point, so a segment nearest to ``p`` has
+``D(c, j) <= D(p, j) + |p - c| <= D(p, k) + |p - c| <= m + 2|p - c|``,
+where ``k`` is the segment nearest to ``c``.  Every segment tied with it
+for nearest passes the same bound.  ``slack`` covers rounding: the
+computed distances (to the first ulps of the coordinates), a point that
+rounds into a neighbouring cell, and a degenerate soup segment, whose
+computed distance may be off by its length (under ``sqrt(_EPS)``).  The
+first nearest segment of the full scan is therefore a candidate, and
+every candidate's terms are the full scan's bits, so the minimum, the
+lowest-index tie-break, ``t`` and the residual come out identical.
+
+A point outside the geometry's bounding box plus ``_CELL_MARGIN``, or
+with a non-finite coordinate, takes the full scan.  Batched callers
+(``(K, 1)`` lane columns and the floor shader's pixels) always use the
+array kernels.
 """
 
 from __future__ import annotations
@@ -30,6 +64,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+
+#: Side of a one-point query memo cell (metres).
+_CELL = 1.0
+#: How far the memo's grid reaches past the geometry's bounding box
+#: (metres): wide enough for a centerline to cover its widest corridor.
+_CELL_MARGIN = 8.0
 
 
 def wrap_angle(theta: float) -> float:
@@ -118,6 +158,59 @@ class Ray2:
         return Ray2(pose.x, pose.y, math.cos(theta), math.sin(theta))
 
 
+class _CellMemo:
+    """Lazily filled per-cell candidate rows of one soup or polyline.
+
+    ``owner`` provides ``_distances(cx, cy)``, the ``(S,)`` array of its
+    kernel's distances from one point, and ``_row(j)``, segment ``j``'s
+    plain-float terms.  A cell keeps the rows of its candidates (the cell
+    rule in the module docstring); a row is built when its segment first
+    becomes a candidate.  Both memos fill with ``setdefault``, so
+    simulators and threads sharing one world may race on a cell and all
+    read the same rows.
+    """
+
+    __slots__ = ("_x0", "_y0", "_nx", "_ny", "_bound", "_cells", "_rows")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self._x0 = float(xs.min()) - _CELL_MARGIN
+        self._y0 = float(ys.min()) - _CELL_MARGIN
+        self._nx = math.ceil((float(xs.max()) + _CELL_MARGIN - self._x0) / _CELL)
+        self._ny = math.ceil((float(ys.max()) + _CELL_MARGIN - self._y0) / _CELL)
+        reach = max(
+            abs(self._x0), abs(self._y0),
+            abs(self._x0 + self._nx * _CELL), abs(self._y0 + self._ny * _CELL),
+        )
+        slack = 4.0 * math.sqrt(_EPS) + 1e-9 * (1.0 + reach)
+        self._bound = math.hypot(_CELL, _CELL) + slack
+        self._cells: dict[int, tuple] = {}
+        self._rows: dict[int, tuple] = {}
+
+    def rows(self, px: float, py: float, owner) -> tuple | None:
+        """Candidate rows for the point, or ``None`` where the full scan
+        must answer (outside the grid, or a non-finite coordinate)."""
+        fx = (px - self._x0) / _CELL
+        fy = (py - self._y0) / _CELL
+        if not (0.0 <= fx < self._nx and 0.0 <= fy < self._ny):
+            return None
+        key = int(fx) * self._ny + int(fy)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells.setdefault(key, self._fill(key, owner))
+        return cell
+
+    def _fill(self, key: int, owner) -> tuple:
+        ix, iy = divmod(key, self._ny)
+        dist = owner._distances(
+            self._x0 + (ix + 0.5) * _CELL, self._y0 + (iy + 0.5) * _CELL
+        )
+        rows = self._rows
+        return tuple(
+            rows.get(j) or rows.setdefault(j, owner._row(j))
+            for j in np.flatnonzero(dist <= dist.min() + self._bound).tolist()
+        )
+
+
 class SegmentSoup:
     """A batch of segments stored column-wise for vectorized queries.
 
@@ -141,9 +234,24 @@ class SegmentSoup:
         # One soup is shared by every simulator in a process (cached_world).
         for array in (self._ax, self._ay, self._dx, self._dy, self._denom):
             array.setflags(write=False)
+        self._memo = _CellMemo(
+            np.concatenate([self._ax, self._ax + self._dx]),
+            np.concatenate([self._ay, self._ay + self._dy]),
+        )
 
     def __len__(self) -> int:
         return len(self.segments)
+
+    def _squared(
+        self, px: float | np.ndarray, py: float | np.ndarray
+    ) -> np.ndarray:
+        """Squared distance from each point to each segment."""
+        rx = px - self._ax
+        ry = py - self._ay
+        t = np.clip((rx * self._dx + ry * self._dy) / self._denom, 0.0, 1.0)
+        cx = rx - t * self._dx
+        cy = ry - t * self._dy
+        return cx * cx + cy * cy
 
     def nearest_distance(
         self, px: float | np.ndarray, py: float | np.ndarray
@@ -153,17 +261,37 @@ class SegmentSoup:
         Plain-float ``px, py`` give one distance; ``(P, 1)`` columns give
         ``(P,)`` distances, each the float the one-point call returns.
         """
-        rx = px - self._ax
-        ry = py - self._ay
-        t = np.clip((rx * self._dx + ry * self._dy) / self._denom, 0.0, 1.0)
-        cx = rx - t * self._dx
-        cy = ry - t * self._dy
-        return np.sqrt((cx * cx + cy * cy).min(axis=-1))
+        return np.sqrt(self._squared(px, py).min(axis=-1))
+
+    def _distances(self, px: float, py: float) -> np.ndarray:
+        return np.sqrt(self._squared(px, py))
+
+    def _row(self, j: int) -> tuple[float, float, float, float, float]:
+        return (
+            float(self._ax[j]), float(self._ay[j]),
+            float(self._dx[j]), float(self._dy[j]), float(self._denom[j]),
+        )
 
     def min_distance(self, point: np.ndarray) -> float:
-        """Distance from ``point`` to the nearest segment in the soup."""
-        p = np.asarray(point, dtype=float)
-        return float(self.nearest_distance(p[0], p[1]))
+        """Distance from ``point`` to the nearest segment in the soup:
+        :meth:`nearest_distance`'s bits, over the point's memo cell."""
+        px, py = float(point[0]), float(point[1])
+        rows = self._memo.rows(px, py, self)
+        if rows is None:
+            return float(self.nearest_distance(px, py))
+        best = math.inf
+        for ax, ay, dx, dy, denom in rows:
+            rx = px - ax
+            ry = py - ay
+            t = (rx * dx + ry * dy) / denom
+            t = t if t > 0.0 else 0.0
+            t = t if t < 1.0 else 1.0
+            cx = rx - t * dx
+            cy = ry - t * dy
+            q = cx * cx + cy * cy
+            if q < best:
+                best = q
+        return math.sqrt(best)
 
     def cast(
         self,
@@ -254,6 +382,7 @@ class Polyline:
             self.sx, self.sy, self.ux, self.uy,
         ):
             array.setflags(write=False)
+        self._memo = _CellMemo(points[:, 0], points[:, 1])
 
     @property
     def length(self) -> float:
@@ -297,6 +426,18 @@ class Polyline:
         ascending segment indices, ``(C,)`` for one point or ``(P, C)``
         for many (the floor shader's candidate windows).
         """
+        t, dx, dy = self._residuals(px, py, segments)
+        i = (dx * dx + dy * dy).argmin(axis=-1)
+        pick = i if dx.ndim == 1 else (np.arange(dx.shape[0]), i)
+        return (i if segments is None else segments[pick]), t[pick], dx[pick], dy[pick]
+
+    def _residuals(
+        self,
+        px: float | np.ndarray,
+        py: float | np.ndarray,
+        segments: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clamped ``t`` and the ``point - closest`` residual per segment."""
         sx, sy, ux, uy, lengths = self.sx, self.sy, self.ux, self.uy, self.lengths
         if segments is not None:
             sx, sy, ux, uy = sx[segments], sy[segments], ux[segments], uy[segments]
@@ -306,9 +447,34 @@ class Polyline:
         # course coordinate depends on this order.
         dx = px - (sx + t * ux)
         dy = py - (sy + t * uy)
-        i = (dx * dx + dy * dy).argmin(axis=-1)
-        pick = i if dx.ndim == 1 else (np.arange(dx.shape[0]), i)
-        return (i if segments is None else segments[pick]), t[pick], dx[pick], dy[pick]
+        return t, dx, dy
+
+    def _distances(self, px: float, py: float) -> np.ndarray:
+        _, dx, dy = self._residuals(px, py)
+        return np.sqrt(dx * dx + dy * dy)
+
+    def _row(self, j: int) -> tuple[int, float, float, float, float, float]:
+        return (
+            j, float(self.sx[j]), float(self.sy[j]),
+            float(self.ux[j]), float(self.uy[j]), float(self.lengths[j]),
+        )
+
+    def _nearest_one(self, px: float, py: float):
+        """:meth:`nearest_segment` of one point, over its memo cell."""
+        rows = self._memo.rows(px, py, self)
+        if rows is None:
+            return self.nearest_segment(px, py)
+        best = math.inf
+        for j, sx, sy, ux, uy, length in rows:
+            u = (px - sx) * ux + (py - sy) * uy
+            u = u if u > 0.0 else 0.0
+            u = u if u < length else length
+            dx = px - (sx + u * ux)
+            dy = py - (sy + u * uy)
+            q = dx * dx + dy * dy
+            if q < best:
+                best, nearest = q, (j, u, dx, dy)
+        return nearest
 
     def project(self, point: np.ndarray) -> tuple[float, float]:
         """Project a point onto the polyline.
@@ -316,11 +482,10 @@ class Polyline:
         Returns ``(s, d)``: arclength of the closest centerline point and
         the signed lateral offset (positive to the left of travel).
         """
-        p = np.asarray(point, dtype=float)
-        i, t, dx, dy = self.nearest_segment(p[0], p[1])
+        i, t, dx, dy = self._nearest_one(float(point[0]), float(point[1]))
         # ``d`` is a 2-vector BLAS dot; an expanded sum rounds differently
         # and every recorded mission depends on this rounding.
-        return float(self.cum[i] + t), float(np.array([dx, dy]) @ self.normals[i])
+        return float(self._cum_list[i] + t), float(np.array([dx, dy]) @ self.normals[i])
 
     def lateral_offsets(self, i: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Signed offsets of :meth:`nearest_segment` residuals as the

@@ -262,8 +262,12 @@ def cached_world(name: str, **params) -> World:
 
     Worlds are never mutated after construction (walls, centerline and
     course metadata are all fixed in ``__post_init__``, and their
-    per-segment arrays are read-only), so every
-    simulator in a process can share one instance.  Building an s-shape
+    per-segment arrays are read-only), so every simulator in a process
+    can share one instance.  The one exception is the geometry's
+    one-point query memo (:class:`repro.env.geometry._CellMemo`), which
+    fills per-cell candidate lists as points are queried; it never
+    changes an answer, and its ``setdefault`` fill is safe for threads
+    sharing the world.  Building an s-shape
     world costs milliseconds of wall geometry; a sweep re-running hundreds
     of missions on the same map pays it once.  Unhashable parameter
     values (scenario ``spec`` dicts) key on their canonical JSON instead;
