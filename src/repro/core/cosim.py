@@ -233,7 +233,7 @@ class CoSimulation:
             rpc=self.rpc,
             transport=sync_end,
             sync=config.sync,
-            host_service=self.host.service,
+            host=self.host,
             logger=self.logger,
             tracer=tracer,
             faults=self.fault_injector,

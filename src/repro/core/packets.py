@@ -127,7 +127,7 @@ class DataPacket:
         # Size from the layout table when the shape is well-formed (the
         # overwhelmingly common case) — a full encode just to measure a
         # packet is pure overhead on the SoC's MMIO cost path.  Anything
-        # irregular falls through to encode_packet for its exact error.
+        # irregular falls through to encode_payload for its exact error.
         layout = _PAYLOAD_SIZES.get(self.ptype)
         if layout is not None and len(self.values) == layout[1]:
             if self.ptype is PacketType.CAMERA_RESP:
@@ -138,11 +138,21 @@ class DataPacket:
                     return layout[0] + len(self.raw)
             elif not self.raw:
                 return layout[0]
-        return len(encode_packet(self)) - HEADER_SIZE
+        return len(encode_payload(self))
 
 
-def encode_packet(packet: DataPacket) -> bytes:
-    """Serialize a packet to wire bytes (header + payload)."""
+def frame_size(ptype: PacketType) -> int:
+    """Wire size (header + payload) of a ``ptype`` frame, from the
+    fixed-layout table; for the raw-carrying responses, with no raw tail."""
+    return HEADER_SIZE + _PAYLOAD_SIZES[ptype][0]
+
+
+def encode_payload(packet: DataPacket) -> bytes:
+    """Validate a packet and pack its payload (the frame without header).
+
+    Raises the :class:`PacketError` a malformed packet earns on the wire;
+    :func:`encode_packet` wraps the result in the CRC-carrying header.
+    """
     ptype = packet.ptype
     if ptype == PacketType.CAMERA_RESP:
         if len(packet.values) != 6:
@@ -183,8 +193,15 @@ def encode_packet(packet: DataPacket) -> bytes:
             raise PacketError(f"{ptype.name} does not carry a raw payload")
     if len(payload) > MAX_PAYLOAD:
         raise PacketError(f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD")
-    crc = payload_crc(int(ptype), payload)
-    header = struct.pack(HEADER_FORMAT, MAGIC, int(ptype), crc, len(payload))
+    return payload
+
+
+def encode_packet(packet: DataPacket) -> bytes:
+    """Serialize a packet to wire bytes (header + payload)."""
+    payload = encode_payload(packet)
+    type_value = int(packet.ptype)
+    crc = payload_crc(type_value, payload)
+    header = struct.pack(HEADER_FORMAT, MAGIC, type_value, crc, len(payload))
     return header + payload
 
 

@@ -17,13 +17,24 @@ Consequence of this loop (measured in Section 5.5): data crosses between
 the simulators only at step boundaries, so a sensor request issued
 mid-period is answered no earlier than the next boundary — coarse
 synchronization adds artificial latency to the modeled I/O.
+
+Step 3's tokens travel as SYNC_GRANT and SYNC_DONE frames wherever
+frames exist or can be faulted: over TCP, behind a fault injector (an
+empty fault plan included), and to a remote host, where a lost frame is
+recovered by regrants and bounded by the watchdog.  On a lossless
+in-process link to an in-process host the frames would tell the
+synchronizer nothing it does not know, so step 3 grants the host by
+method call (:meth:`~repro.soc.firesim.FireSimHost.grant`) and step 4
+reads the completion back from the host; both frames are still charged
+to the link's counters at their wire size, so every packet, byte and
+sync count is the same on either path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, TypedDict
+from typing import TYPE_CHECKING, Callable, TypedDict
 
 from repro.core.config import SyncConfig
 from repro.core.csvlog import SyncLogger, SyncLogRow
@@ -33,6 +44,7 @@ from repro.core.packets import (
     PacketType,
     camera_response,
     depth_response,
+    frame_size,
     imu_response,
     lidar_response,
     state_response,
@@ -43,11 +55,18 @@ from repro.core.packets import (
 from repro.core.invariants import InvariantChecker
 from repro.core.timing import StageTimer, wall_clock
 from repro.core.trace import Tracer
-from repro.core.transport import Transport
+from repro.core.transport import InProcessTransport, Transport
 from repro.env.rpc import RpcClient
 from repro.errors import SyncError, WatchdogError
 from repro.obs.declarations import mission_registry
 from repro.obs.metrics import BoundCounter, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - repro.soc imports repro.core
+    from repro.soc.firesim import FireSimHost
+
+#: Wire sizes of the two frames a step granted by call charges to the link.
+_GRANT_FRAME = frame_size(PacketType.SYNC_GRANT)
+_DONE_FRAME = frame_size(PacketType.SYNC_DONE)
 
 
 class StepRecord(TypedDict):
@@ -185,10 +204,12 @@ class SyncStats:
 class Synchronizer:
     """Drives one environment simulator and one FireSim host in lockstep.
 
-    ``host_service`` is invoked while waiting for the RTL side so an
-    in-process FireSim host gets to run; with a true remote host (TCP
-    transport to another process/thread) pass ``None`` and the wait polls
-    the transport.
+    ``host`` is the FireSim host when it runs in this process: its
+    ``service()`` is invoked while waiting for the RTL side so it gets to
+    run, and on a plain :class:`~repro.core.transport.InProcessTransport`
+    it is granted by call (see the module docstring).  With a true remote
+    host (TCP transport to another process/thread) pass ``None`` and the
+    wait polls the transport.
     """
 
     def __init__(
@@ -196,7 +217,7 @@ class Synchronizer:
         rpc: RpcClient,
         transport: Transport,
         sync: SyncConfig,
-        host_service: Callable[[], None] | None = None,
+        host: FireSimHost | None = None,
         logger: SyncLogger | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
@@ -207,7 +228,14 @@ class Synchronizer:
         self.rpc = rpc
         self.transport = transport
         self.sync = sync
-        self.host_service = host_service
+        self.host = host
+        #: The in-process host and its lossless link when the step's
+        #: tokens go by call; ``None`` when they go as frames.
+        self._by_call = (
+            (host, transport)
+            if host is not None and isinstance(transport, InProcessTransport)
+            else None
+        )
         self.logger = logger
         self.tracer = tracer
         self.faults = faults
@@ -246,15 +274,15 @@ class Synchronizer:
             sync_set_steps(self.sync.cycles_per_sync, self.sync.frames_per_sync)
         )
         self._packets_total("to_rtl", PacketType.SYNC_SET_STEPS).inc()
-        if self.host_service:
-            self.host_service()
+        if self.host is not None:
+            self.host.service()
         self._configured = True
 
     def shutdown(self) -> None:
         self.transport.send(sync_shutdown())
         self._packets_total("to_rtl", PacketType.SYNC_SHUTDOWN).inc()
-        if self.host_service:
-            self.host_service()
+        if self.host is not None:
+            self.host.service()
 
     def _packets_total(self, direction: str, ptype: PacketType) -> BoundCounter:
         """The ``rose_link_packets_total`` series of one direction and
@@ -405,7 +433,14 @@ class Synchronizer:
         step_index = self.stats.steps
         if self.invariants is not None:
             self.invariants.on_grant(step_index)
-        self.transport.send(sync_grant(step_index))
+        by_call = self._by_call
+        if by_call is None:
+            self.transport.send(sync_grant(step_index))
+        else:
+            # Lossless and in process: grant by call, count the frame.
+            host, link = by_call
+            link.charge(_GRANT_FRAME)
+            host.grant(step_index)
         self._grants_total.inc()
         self._grant_packets_total.inc()
         if timer is not None:
@@ -417,7 +452,10 @@ class Synchronizer:
 
         # % Poll simulators until both finish %
         try:
-            self._wait_for_sync_done(step_index)
+            if by_call is None:
+                self._wait_for_sync_done(step_index)
+            else:
+                self._complete_by_call(step_index, *by_call)
         finally:
             # Mirror injector counters even when the watchdog aborts the
             # step — the failure report must show what the link did.
@@ -468,6 +506,71 @@ class Synchronizer:
         self._grant_packets_total.inc()
         return regrants + 1
 
+    def _service_host(self, host: FireSimHost) -> None:
+        """Let the in-process host run, timed into the ``soc_step`` stage."""
+        timer = self.stage_timer
+        if timer is None:
+            host.service()
+            return
+        t0 = wall_clock()
+        host.service()
+        timer.add("soc_step", wall_clock() - t0)
+
+    def _accept_done(self, step_index: int) -> None:
+        self._done_ok_total.inc()
+        if self.invariants is not None:
+            self.invariants.on_done(step_index)
+
+    def _drain(self, step_index: int) -> tuple[bool, bool]:
+        """Take every packet waiting at this end: queue the SoC's data for
+        the next step's dispatch and account the SYNC_DONE frames.
+
+        Returns whether this step's SYNC_DONE arrived and whether any
+        packet did.
+        """
+        done = progressed = False
+        for packet in self.transport.drain():
+            progressed = True
+            if packet.ptype == PacketType.SYNC_DONE:
+                got_index = int(packet.values[0])
+                if got_index == step_index:
+                    done = True
+                    self._accept_done(got_index)
+                elif got_index < step_index:
+                    # A duplicate/delayed acknowledgement of a step we
+                    # already finished (regrant aftermath) — ignore.
+                    self.stats.stale_sync_done += 1
+                    if self.invariants is not None:
+                        self.invariants.on_done(got_index, stale=True)
+                else:
+                    raise SyncError(
+                        f"out-of-order SYNC_DONE: expected {step_index}, got {got_index}"
+                    )
+            elif packet.ptype.is_data:
+                # Emitted by the SoC during this period; handled at the
+                # start of the next loop iteration (Algorithm 1).
+                self._pending_rtl.append(packet)
+            else:
+                raise SyncError(f"unexpected packet at synchronizer: {packet.ptype.name}")
+        return done, progressed
+
+    def _complete_by_call(
+        self, step_index: int, host: FireSimHost, link: InProcessTransport
+    ) -> None:
+        """Run the step granted by call and read its completion back from
+        the host: the lossless link's SYNC_DONE, without the frame."""
+        self._service_host(host)
+        self._drain(step_index)
+        done = host.last_done
+        if done is None or done[0] != step_index:
+            # Nothing is lost in process: an unanswered grant is a bug.
+            raise SyncError(
+                f"in-process host did not complete step {step_index} "
+                f"(last completed: {done})"
+            )
+        link.peer.charge(_DONE_FRAME)
+        self._accept_done(step_index)
+
     def _wait_for_sync_done(self, step_index: int) -> None:
         """Poll for this step's SYNC_DONE, surviving a lossy link.
 
@@ -480,51 +583,20 @@ class Synchronizer:
         """
         regrants = 0
         deadline = regrant_deadline = 0.0
-        if self.host_service is None:
+        host = self.host
+        if host is None:
             # Watchdog deadlines are wall-clock by design: they bound
             # *remote* host silence on a dead link, never simulated
             # behaviour.  An in-process host is watched by regrant count.
             deadline = time.monotonic() + self.sync.sync_done_timeout_s  # repro: allow[DET002]
             regrant_deadline = time.monotonic() + self.sync.regrant_timeout_s  # repro: allow[DET002]
-        timer = self.stage_timer
         while True:
-            if self.host_service:
-                if timer is not None:
-                    t0 = wall_clock()
-                    self.host_service()
-                    timer.add("soc_step", wall_clock() - t0)
-                else:
-                    self.host_service()
-            done = False
-            progressed = False
-            for packet in self.transport.drain():
-                progressed = True
-                if packet.ptype == PacketType.SYNC_DONE:
-                    got_index = int(packet.values[0])
-                    if got_index == step_index:
-                        done = True
-                        self._done_ok_total.inc()
-                        if self.invariants is not None:
-                            self.invariants.on_done(got_index)
-                    elif got_index < step_index:
-                        # A duplicate/delayed acknowledgement of a step we
-                        # already finished (regrant aftermath) — ignore.
-                        self.stats.stale_sync_done += 1
-                        if self.invariants is not None:
-                            self.invariants.on_done(got_index, stale=True)
-                    else:
-                        raise SyncError(
-                            f"out-of-order SYNC_DONE: expected {step_index}, got {got_index}"
-                        )
-                elif packet.ptype.is_data:
-                    # Emitted by the SoC during this period; handled at the
-                    # start of the next loop iteration (Algorithm 1).
-                    self._pending_rtl.append(packet)
-                else:
-                    raise SyncError(f"unexpected packet at synchronizer: {packet.ptype.name}")
+            if host is not None:
+                self._service_host(host)
+            done, progressed = self._drain(step_index)
             if done:
                 return
-            if self.host_service:
+            if host is not None:
                 if progressed:
                     continue
                 # An in-process host finishes all possible work per service

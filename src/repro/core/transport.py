@@ -7,17 +7,21 @@ implement that link here:
 
 * :class:`InProcessTransport` — a deque pair, used when the whole
   co-simulation runs in one process (the default for experiments;
-  deterministic and zero copy).  ``send`` encodes each packet only to
-  validate and size it exactly as the wire would, then hands the receiver
-  the packet object itself; no frame is parsed back.
+  deterministic and zero copy).  ``send`` packs each packet's payload
+  only to validate and size it exactly as the wire would, then hands the
+  receiver the packet object itself; no frame is built or parsed.
+  ``charge`` counts a frame that was never sent at all: on a lossless
+  in-process link the synchronizer grants its in-process FireSim host by
+  method call, and charges the SYNC_GRANT and SYNC_DONE it did not send.
 * :class:`TcpTransport` — real localhost TCP sockets with the same framed
   packet protocol, proving the orchestration works across a process
   boundary exactly as deployed.
 
-Frames are decoded (header, CRC, payload) only where bytes exist: on the
-TCP stream, and for frames pushed through ``send_wire`` — the fault
-injector's possibly corrupted wire images — which the in-process link
-carries as bytes.  Either way a ``send`` raises the
+Frames exist only where bytes must: every packet on the TCP stream, and
+every packet on a :class:`FaultyTransport`, whose injector corrupts,
+delays and duplicates wire images that the in-process link then carries
+as bytes (``send_wire``).  Frames are decoded (header, CRC, payload)
+only there.  Either way a ``send`` raises the
 :class:`~repro.errors.PacketError` that :func:`encode_packet` raises and
 advances the byte counters by the frame's wire size, and ``recv`` is a
 non-blocking poll returning ``None`` when no complete packet is
@@ -53,6 +57,7 @@ from repro.core.packets import (
     decode_header,
     decode_packet,
     encode_packet,
+    encode_payload,
 )
 from repro.errors import PacketError, TransportError
 
@@ -103,6 +108,9 @@ _Queued = Union[tuple[DataPacket, int], bytes]
 class InProcessTransport(Transport):
     """One end of a deque-backed in-process link (see :func:`transport_pair`)."""
 
+    #: The other end of the link, which receives what this end sends.
+    peer: InProcessTransport
+
     def __init__(self, outbox: deque[_Queued], inbox: deque[_Queued]):
         self._outbox = outbox
         self._inbox = inbox
@@ -113,13 +121,24 @@ class InProcessTransport(Transport):
         self.corrupt_packets = 0
 
     def send(self, packet: DataPacket) -> None:
-        # Encoding is the validation and the size; nobody reads the frame.
-        size = len(encode_packet(packet))
+        if self._closed:
+            raise TransportError("send on closed transport")
+        # Packing is the validation and the size; nobody reads the bytes.
+        size = HEADER_SIZE + len(encode_payload(packet))
+        self.bytes_sent += size
+        self.packets_sent += 1
+        self._outbox.append((packet, size))
+
+    def charge(self, size: int) -> None:
+        """Count one frame of ``size`` bytes (see
+        :func:`~repro.core.packets.frame_size`) as sent by this end and
+        received by its peer, without building or queueing it: the frame
+        a method call stood in for."""
         if self._closed:
             raise TransportError("send on closed transport")
         self.bytes_sent += size
         self.packets_sent += 1
-        self._outbox.append((packet, size))
+        self.peer.bytes_received += size
 
     def send_wire(self, wire: bytes) -> None:
         if self._closed:
@@ -326,10 +345,10 @@ def transport_pair(kind: str = "inprocess") -> tuple[Transport, Transport]:
     if kind == "inprocess":
         a_to_b: deque[_Queued] = deque()
         b_to_a: deque[_Queued] = deque()
-        return (
-            InProcessTransport(outbox=a_to_b, inbox=b_to_a),
-            InProcessTransport(outbox=b_to_a, inbox=a_to_b),
-        )
+        a = InProcessTransport(outbox=a_to_b, inbox=b_to_a)
+        b = InProcessTransport(outbox=b_to_a, inbox=a_to_b)
+        a.peer, b.peer = b, a
+        return a, b
     if kind == "tcp":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         client = None

@@ -6,6 +6,10 @@ Two concerns live here:
   the simulated SoC and the RoSE bridge, receives synchronization and data
   packets from the transport, steps the RTL simulation by the granted
   cycle budget, and returns SoC-originated data packets plus a SYNC_DONE.
+  A synchronizer in the same process on a lossless link grants a step by
+  calling :meth:`FireSimHost.grant` instead of sending a SYNC_GRANT, and
+  reads the step's completion from :attr:`FireSimHost.last_done` instead
+  of a SYNC_DONE; either way :meth:`FireSimHost.service` runs the step.
 * :class:`HostPerfParams` / :func:`simulation_throughput_mhz` model the
   *wall-clock* performance of the co-simulation (Figure 15): the FPGA
   advances target cycles at a bounded rate, the environment renders frames
@@ -43,11 +47,22 @@ class FireSimHost:
         self.steps_completed = 0
         self.shutdown_requested = False
         self.duplicate_grants = 0
-        self._pending_grants: list[int] = []
+        #: (step index, whether a SYNC_DONE frame acknowledges it).
+        self._pending_grants: list[tuple[int, bool]] = []
         self._deferred_inject: list[DataPacket] = []
         #: (step index, cycles executed) of the last completed step — a
-        #: regranted step is re-acknowledged from here, never re-executed.
-        self._last_done: tuple[int, int] | None = None
+        #: regranted step is re-acknowledged from here, never re-executed;
+        #: a step granted by call is acknowledged here alone.
+        self.last_done: tuple[int, int] | None = None
+
+    def grant(self, step_index: int) -> None:
+        """Grant one step by call, in place of a SYNC_GRANT frame.
+
+        The next :meth:`service` runs the step as it runs a framed grant,
+        and records its completion in :attr:`last_done` without sending a
+        SYNC_DONE frame.
+        """
+        self._pending_grants.append((step_index, False))
 
     def service(self) -> None:
         """Run all currently possible host-side work."""
@@ -61,7 +76,7 @@ class FireSimHost:
                 cycles, frames = packet.values
                 self.bridge.set_steps(cycles, frames)
             elif packet.ptype == PacketType.SYNC_GRANT:
-                self._pending_grants.append(int(packet.values[0]))
+                self._pending_grants.append((int(packet.values[0]), True))
             elif packet.ptype == PacketType.SYNC_RESET:
                 self._pending_grants.clear()
             elif packet.ptype == PacketType.SYNC_SHUTDOWN:
@@ -82,20 +97,22 @@ class FireSimHost:
 
     def _execute_grants(self) -> None:
         while self._pending_grants:
-            step_index = self._pending_grants.pop(0)
-            if self._last_done is not None and step_index <= self._last_done[0]:
+            step_index, by_frame = self._pending_grants.pop(0)
+            last = self.last_done
+            if last is not None and step_index <= last[0]:
                 # The synchronizer's watchdog re-issued a grant because a
                 # packet was lost: acknowledge again, never step twice.
                 self.duplicate_grants += 1
-                if step_index == self._last_done[0]:
-                    self.transport.send(sync_done(*self._last_done))
+                if by_frame and step_index == last[0]:
+                    self.transport.send(sync_done(*last))
                 continue
             budget = self.bridge.grant_step()
             executed = self.soc.step(budget)
             for packet in self.bridge.host_collect():
                 self.transport.send(packet)
-            self.transport.send(sync_done(step_index, executed))
-            self._last_done = (step_index, executed)
+            if by_frame:
+                self.transport.send(sync_done(step_index, executed))
+            self.last_done = (step_index, executed)
             self.steps_completed += 1
             # Injection may have been blocked on queue space freed by the
             # step; retry now.

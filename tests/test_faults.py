@@ -334,7 +334,7 @@ def build_sync(program, faults=None, logger=None, sync=SYNC):
         rpc=rpc,
         transport=sync_end,
         sync=sync,
-        host_service=host.service,
+        host=host,
         logger=logger,
         faults=faults,
     )

@@ -220,6 +220,13 @@ class TestConstructorTypes:
         packet = CONSTRUCTORS[name](*INPUT_KINDS[kind])
         assert_same_packet(packet, decode_packet(encode_packet(packet)))
 
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_payload_and_frame_size_match_the_frame(self, name):
+        packet = CONSTRUCTORS[name](7, 1.5)
+        wire = encode_packet(packet)
+        assert pk.encode_payload(packet) == wire[pk.HEADER_SIZE :]
+        assert pk.frame_size(packet.ptype) + len(packet.raw) == len(wire)
+
 
 # ---------------------------------------------------------------------------
 # Property-based wire conformance (truncation, bit flips, CRC detection)

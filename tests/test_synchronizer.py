@@ -7,22 +7,29 @@ allocation, and boundary-quantized data delivery are all exercised.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.batch import run_batch
 from repro.core import packets as pk
+from repro.core import synchronizer as synchronizer_module
+from repro.core import transport as transport_module
 from repro.core.config import CoSimConfig, SyncConfig
 from repro.core.cosim import CoSimulation
 from repro.core.csvlog import SyncLogger
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer
 from repro.core.timing import StageTimer
-from repro.core.transport import transport_pair
+from repro.core.transport import FaultyTransport, transport_pair
 from repro.env.rpc import RpcClient, RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
-from repro.errors import SyncError
+from repro.errors import SyncError, WatchdogError
+from repro.soc import firesim as firesim_module
 from repro.soc.firesim import FireSimHost
 from repro.soc.soc import CONFIG_A, Soc
+from repro.sweep import mission_signature
 from repro.verify.golden import golden_missions
 
 SYNC = SyncConfig(cycles_per_sync=10_000_000)
@@ -36,7 +43,7 @@ def build(program, logger=None, env_config=None):
     sync_end, firesim_end = transport_pair("inprocess")
     host = FireSimHost(soc, firesim_end)
     synchronizer = Synchronizer(
-        rpc=rpc, transport=sync_end, sync=SYNC, host_service=host.service, logger=logger
+        rpc=rpc, transport=sync_end, sync=SYNC, host=host, logger=logger
     )
     return env, soc, synchronizer
 
@@ -86,9 +93,8 @@ class TestLockstep:
         env, soc, sync = build(idle_program)
         sync.configure()
         sync.shutdown()
-        # The host flag is observable through the service closure.
-        # (The host was captured in build(); reach it via the bound method.)
-        host = sync.host_service.__self__
+        # The host was captured in build(); reach it through the synchronizer.
+        host = sync.host
         assert host.shutdown_requested
 
 
@@ -355,3 +361,153 @@ class TestStepRecord:
         result, goal_steps = fly_checking_records(config, monkeypatch)
         assert result.completed
         assert goal_steps == [result.sync_stats.steps]
+
+
+#: The obs series that count the step exchange's frames and tokens.
+EXCHANGE_SERIES = (
+    "rose_link_bytes_total",
+    "rose_link_packets_total",
+    "rose_sync_grants_total",
+    "rose_sync_done_total",
+    "rose_bridge_steps_granted_total",
+)
+
+
+def spy_on_sync_frames(monkeypatch):
+    """Record the type of every SYNC_GRANT/SYNC_DONE packet or frame built:
+    by the two constructors the exchange uses, or by the link's codec."""
+    built = []
+
+    def record(fn):
+        def spy(*args):
+            packet = fn(*args)
+            built.append(packet.ptype)
+            return packet
+
+        return spy
+
+    def record_codec(fn):
+        def spy(packet):
+            if packet.ptype in (PacketType.SYNC_GRANT, PacketType.SYNC_DONE):
+                built.append(packet.ptype)
+            return fn(packet)
+
+        return spy
+
+    monkeypatch.setattr(
+        synchronizer_module, "sync_grant", record(synchronizer_module.sync_grant)
+    )
+    monkeypatch.setattr(firesim_module, "sync_done", record(firesim_module.sync_done))
+    for name in ("encode_packet", "encode_payload"):
+        monkeypatch.setattr(
+            transport_module, name, record_codec(getattr(transport_module, name))
+        )
+    return built
+
+
+def fly(config):
+    """Run one mission; returns its result and the two link endpoints."""
+    cosim = CoSimulation(config)
+    try:
+        result = cosim.run()
+    finally:
+        cosim.synchronizer.transport.close()
+        cosim.host.transport.close()
+    return result, cosim.synchronizer.transport, cosim.host.transport
+
+
+class TestGrantDelivery:
+    """On a lossless in-process link the synchronizer grants its
+    in-process host by call; the frames it does not build are still
+    counted, so every output equals the framed exchange's."""
+
+    CONFIG = CoSimConfig(world="tunnel", model="resnet6", max_sim_time=1.0)
+
+    def test_lossless_link_builds_no_sync_frame(self, monkeypatch):
+        built = spy_on_sync_frames(monkeypatch)
+        result, _, _ = fly(self.CONFIG)
+        stats = result.sync_stats
+        assert stats.steps > 0
+        assert built == []
+        grants = result.obs.metrics["rose_sync_grants_total"]["series"]
+        assert [row["value"] for row in grants] == [stats.steps]
+
+    def test_framed_links_count_what_the_direct_link_counts(self, monkeypatch):
+        built = spy_on_sync_frames(monkeypatch)
+        runs = {
+            "direct": fly(self.CONFIG),
+            "empty-plan": fly(dataclasses.replace(self.CONFIG, faults=FaultPlan())),
+            "tcp": fly(dataclasses.replace(self.CONFIG, transport="tcp")),
+        }
+        steps = runs["direct"][0].sync_stats.steps
+        # Only the two framed links built frames: a done per step each.
+        assert built.count(PacketType.SYNC_DONE) >= 2 * steps
+        signatures = {name: mission_signature(run[0]) for name, run in runs.items()}
+        assert len(set(signatures.values())) == 1, signatures
+
+        def counters(end):
+            return end.bytes_sent, end.bytes_received, end.packets_sent
+
+        direct, direct_sync, direct_host = runs["direct"]
+        for name, (result, sync_end, host_end) in runs.items():
+            for series in EXCHANGE_SERIES:
+                got, want = result.obs.metrics[series], direct.obs.metrics[series]
+                assert got == want, (name, series)
+            assert counters(sync_end) == counters(direct_sync), name
+            assert counters(host_end) == counters(direct_host), name
+
+    def test_invariants_pair_every_direct_grant(self):
+        cosim = CoSimulation(dataclasses.replace(self.CONFIG, check_invariants=True))
+        steps = cosim.run().sync_stats.steps
+        report = cosim.invariants.report
+        assert steps > 0
+        assert report.grants_seen == report.dones_seen == report.steps_checked == steps
+        assert report.stale_dones_seen == 0
+
+    def test_unanswered_direct_grant_is_a_sync_error(self):
+        _, soc, sync = build(idle_program)
+        sync.configure()
+        sync.step()
+        sync.host.grant = lambda step_index: None  # the grant never lands
+        with pytest.raises(SyncError, match="did not complete step 1") as raised:
+            sync.step()
+        assert not isinstance(raised.value, WatchdogError)
+        assert soc.cycle == SYNC.cycles_per_sync
+
+    def test_faulty_link_with_empty_plan_keeps_the_framed_exchange(self, monkeypatch):
+        built = spy_on_sync_frames(monkeypatch)
+        readings = []
+
+        def program(rt):
+            response = yield from rt.request_response(
+                pk.imu_request(), PacketType.IMU_RESP
+            )
+            readings.append(response.values)
+            while True:
+                yield from rt.delay(100_000)
+
+        env = EnvSimulator(EnvConfig(world="tunnel", frame_rate=SYNC.frame_rate_hz))
+        soc = Soc(CONFIG_A)
+        soc.load_program(program)
+        injector = FaultInjector(FaultPlan())
+        sync_end, firesim_end = (
+            FaultyTransport(end, injector) for end in transport_pair("inprocess")
+        )
+        host = FireSimHost(soc, firesim_end)
+        sync = Synchronizer(
+            rpc=RpcClient(RpcServer(env)),
+            transport=sync_end,
+            sync=SYNC,
+            host=host,
+            faults=injector,
+        )
+        sync.configure()
+        sync.step()  # request emitted during this period
+        assert not readings
+        sync.step()  # response injected at this boundary
+        sync.step()  # program reads it
+        assert len(readings) == 1 and len(readings[0]) == 5
+        assert sync.stats.imu_requests == 1
+        # Every step crossed the link as a SYNC_GRANT and a SYNC_DONE frame.
+        assert built.count(PacketType.SYNC_DONE) >= 3
+        assert built.count(PacketType.SYNC_GRANT) >= 3
