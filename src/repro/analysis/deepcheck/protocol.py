@@ -12,7 +12,8 @@ cannot silently reorder the handshake.
 
 Per function, the pass extracts the ordered sequence of protocol
 operations — calls to the ``sync_*`` packet constructors plus
-comparisons against ``PacketType.SYNC_DONE`` (awaiting the ack) — and
+comparisons against ``PacketType.SYNC_DONE`` or a module-level alias of
+it (awaiting the ack) — and
 simulates the declared nondeterministic machine over it, starting from
 *every* state (a function may legitimately be entered mid-protocol).
 An operation that is impossible from every surviving state is a
@@ -69,11 +70,28 @@ PROTOCOL_MACHINE: dict[str, dict[str, str]] = {
 }
 
 
+def _is_sync_done(dotted: str | None) -> bool:
+    return dotted is not None and dotted.endswith("PacketType.SYNC_DONE")
+
+
+def _sync_done_aliases(module: Module) -> set[str]:
+    """Module-level names bound to ``PacketType.SYNC_DONE`` (hot paths
+    alias enum members to skip the class attribute lookup)."""
+    return {
+        target.id
+        for node in module.tree.body
+        if isinstance(node, ast.Assign) and _is_sync_done(module.dotted(node.value))
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def function_protocol_ops(
     func: FunctionInfo, module: Module
 ) -> list[tuple[int, int, str]]:
     """Ordered ``(line, col, op)`` protocol events in one function body."""
     events: list[tuple[int, int, str]] = []
+    aliases = _sync_done_aliases(module)
     for node in ast.walk(func.node):
         if isinstance(node, ast.Call):
             dotted = module.call_name(node)
@@ -85,7 +103,7 @@ def function_protocol_ops(
             # `packet.ptype == PacketType.SYNC_DONE` — awaiting the ack.
             for comparand in [node.left, *node.comparators]:
                 dotted = module.dotted(comparand)
-                if dotted is not None and dotted.endswith("PacketType.SYNC_DONE"):
+                if _is_sync_done(dotted) or dotted in aliases:
                     events.append((node.lineno, node.col_offset, "done"))
     events.sort(key=lambda e: (e[0], e[1]))
     return events

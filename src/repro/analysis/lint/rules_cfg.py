@@ -86,6 +86,15 @@ def cfg001_cache_key_coverage(module: Module, project: ProjectModel) -> list[Dia
     for node in ast.walk(serializer):
         if isinstance(node, ast.Dict):
             explicit_keys |= _string_keys(node)
+            # A nested literal ({"sync": {...}}) lists a nested config's
+            # keys just as an override assignment does.
+            overrides.extend(
+                (key.value, value)
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(value, ast.Dict)
+            )
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -113,7 +122,8 @@ def cfg001_cache_key_coverage(module: Module, project: ProjectModel) -> list[Dia
                 )
             )
 
-    # -- hand-written nested overrides (e.g. data["sync"] = {...}) ------
+    # -- hand-written nested dicts (data["sync"] = {...}, or a nested --
+    # -- literal in the serialized dict) ---------------------------------
     # asdict() covers nested dataclasses too, but an explicit override
     # replaces that coverage with whatever keys it lists — so the listed
     # keys must be total over the nested dataclass's fields.
@@ -133,7 +143,7 @@ def cfg001_cache_key_coverage(module: Module, project: ProjectModel) -> list[Dia
                     line=literal.lineno,
                     col=literal.col_offset,
                     rule="CFG001",
-                    message=f'data["{key}"] override misses {nested.name} '
+                    message=f"the {key!r} dict misses {nested.name} "
                     f"field(s): {', '.join(missing)} — they never reach the "
                     "cache key",
                     hint=f"add the missing field(s) to the {key!r} dict so "

@@ -92,6 +92,11 @@ class InferenceRecord:
     response_cycle: int
     model: str
 
+    def __reduce__(self) -> tuple[type[InferenceRecord], tuple[int, int, str]]:
+        # Positional: a pickled record carries no field names and loads
+        # in one constructor call (copy and deepcopy take this path too).
+        return (type(self), (self.request_cycle, self.response_cycle, self.model))
+
     @property
     def latency_cycles(self) -> int:
         return self.response_cycle - self.request_cycle

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.packets import DataPacket
+from repro.core.packets import DATA_TYPES, DataPacket
 from repro.errors import BridgeError, InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -105,7 +105,7 @@ class RoseBridge:
     def host_inject(self, packet: DataPacket) -> bool:
         """Inject a data packet into the RX queue; False if it would
         overflow the hardware buffer (the driver must retry next step)."""
-        if not packet.ptype.is_data:
+        if packet.ptype not in DATA_TYPES:
             raise BridgeError(
                 f"sync packet {packet.ptype.name} must not enter the data queues"
             )
@@ -148,7 +148,7 @@ class RoseBridge:
         return self.config.tx_capacity_bytes - self._tx_bytes
 
     def target_tx_push(self, packet: DataPacket) -> None:
-        if not packet.ptype.is_data:
+        if packet.ptype not in DATA_TYPES:
             raise BridgeError(
                 f"target may only send data packets, not {packet.ptype.name}"
             )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Any, Callable
 
 
 @dataclass
@@ -61,7 +63,15 @@ class SyncLogRow:
     )
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in self.FIELDS)
+        return _row_values(self)
+
+    def __reduce__(self) -> tuple[type[SyncLogRow], tuple[float, ...]]:
+        # Positional (FIELDS is the declaration order): a pickled row
+        # carries no field names and loads in one constructor call.
+        return (type(self), _row_values(self))
+
+
+_row_values: Callable[[SyncLogRow], tuple[Any, ...]] = attrgetter(*SyncLogRow.FIELDS)
 
 
 @dataclass

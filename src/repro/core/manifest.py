@@ -10,8 +10,8 @@ seed).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict
 from typing import Any
 
 from repro.core.config import CoSimConfig, SyncConfig
@@ -23,20 +23,48 @@ MANIFEST_FORMAT = "rose-repro-manifest/1"
 
 
 def config_to_dict(config: CoSimConfig) -> dict[str, Any]:
-    """Plain-dict form of a configuration (JSON-safe)."""
-    data = asdict(config)
-    data["sync"] = {
-        "cycles_per_sync": config.sync.cycles_per_sync,
-        "soc_frequency_hz": config.sync.soc_frequency_hz,
-        "frame_rate_hz": config.sync.frame_rate_hz,
-        "sync_done_timeout_s": config.sync.sync_done_timeout_s,
-        "recv_timeout_s": config.sync.recv_timeout_s,
-        "regrant_timeout_s": config.sync.regrant_timeout_s,
-        "max_regrants": config.sync.max_regrants,
+    """Plain-dict form of a configuration (JSON-safe).
+
+    Every :class:`CoSimConfig` field, in declaration order: the dict
+    ``dataclasses.asdict`` would give, without its recursive copy.  Only
+    ``world_params`` is mutable, so only it is copied.
+    """
+    data: dict[str, Any] = {
+        "world": config.world,
+        "vehicle": config.vehicle,
+        "soc": config.soc,
+        "controller": config.controller,
+        "model": config.model,
+        "target_velocity": config.target_velocity,
+        "initial_angle_deg": config.initial_angle_deg,
+        "initial_lateral_offset": config.initial_lateral_offset,
+        "sync": {
+            "cycles_per_sync": config.sync.cycles_per_sync,
+            "soc_frequency_hz": config.sync.soc_frequency_hz,
+            "frame_rate_hz": config.sync.frame_rate_hz,
+            "sync_done_timeout_s": config.sync.sync_done_timeout_s,
+            "recv_timeout_s": config.sync.recv_timeout_s,
+            "regrant_timeout_s": config.sync.regrant_timeout_s,
+            "max_regrants": config.sync.max_regrants,
+        },
+        "max_sim_time": config.max_sim_time,
+        "dynamic_runtime": config.dynamic_runtime,
+        "argmax_policy": config.argmax_policy,
+        "fusion_camera_every": config.fusion_camera_every,
+        "background": config.background,
+        "gemmini_dtype": config.gemmini_dtype,
+        "beta_lateral": config.beta_lateral,
+        "beta_angular": config.beta_angular,
+        "world_params": copy.deepcopy(config.world_params),
+        "seed": config.seed,
+        "transport": config.transport,
+        # The plan serializes itself, with packet types by name.
+        "faults": config.faults.to_dict() if config.faults is not None else None,
+        "noise": config.noise.to_dict() if config.noise is not None else None,
+        "sensor_timeout_syncs": config.sensor_timeout_syncs,
+        "sensor_retries": config.sensor_retries,
+        "check_invariants": config.check_invariants,
     }
-    # asdict() mangles the fault plan (enum members, nested rule tuples);
-    # the plan serializes itself with packet types by name.
-    data["faults"] = config.faults.to_dict() if config.faults is not None else None
     # The scenario fields entered the config after thousands of cache
     # entries and ten golden records were keyed without them: at their
     # defaults (no profile, centered spawn) they are omitted so every
@@ -45,8 +73,6 @@ def config_to_dict(config: CoSimConfig) -> dict[str, Any]:
     # configs differing in either field never share a key.
     if config.noise is None:
         del data["noise"]
-    else:
-        data["noise"] = config.noise.to_dict()
     if config.initial_lateral_offset == 0.0:
         del data["initial_lateral_offset"]
     return data

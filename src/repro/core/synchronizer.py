@@ -40,6 +40,7 @@ from repro.core.config import SyncConfig
 from repro.core.csvlog import SyncLogger, SyncLogRow
 from repro.core.faults import FaultInjector
 from repro.core.packets import (
+    DATA_TYPES,
     DataPacket,
     PacketType,
     camera_response,
@@ -67,6 +68,15 @@ if TYPE_CHECKING:  # pragma: no cover - repro.soc imports repro.core
 #: Wire sizes of the two frames a step granted by call charges to the link.
 _GRANT_FRAME = frame_size(PacketType.SYNC_GRANT)
 _DONE_FRAME = frame_size(PacketType.SYNC_DONE)
+
+# Member aliases for the per-packet tests (see packets.DATA_TYPES).
+_SYNC_DONE = PacketType.SYNC_DONE
+_CAMERA_REQ = PacketType.CAMERA_REQ
+_IMU_REQ = PacketType.IMU_REQ
+_DEPTH_REQ = PacketType.DEPTH_REQ
+_LIDAR_REQ = PacketType.LIDAR_REQ
+_STATE_REQ = PacketType.STATE_REQ
+_TARGET_CMD = PacketType.TARGET_CMD
 
 
 class StepRecord(TypedDict):
@@ -228,6 +238,9 @@ class Synchronizer:
         self.rpc = rpc
         self.transport = transport
         self.sync = sync
+        # Equation 1's per-step constants (properties of the frozen config).
+        self._frames_per_sync = sync.frames_per_sync
+        self._sync_period = sync.sync_period_seconds
         self.host = host
         #: The in-process host and its lossless link when the step's
         #: tokens go by call; ``None`` when they go as frames.
@@ -333,7 +346,7 @@ class Synchronizer:
             self.tracer.instant(
                 ptype.name, "packet-from-rtl", self.sim_time, track="io"
             )
-        if ptype == PacketType.CAMERA_REQ:
+        if ptype == _CAMERA_REQ:
             self.stats.camera_requests += 1
             self.stats.camera_request_times.append(self.sim_time)
             image = self.rpc.get_camera_image()
@@ -359,7 +372,7 @@ class Synchronizer:
                     pixels=image["pixels"],
                 )
             )
-        elif ptype == PacketType.IMU_REQ:
+        elif ptype == _IMU_REQ:
             self.stats.imu_requests += 1
             imu = self.rpc.get_imu()
             if self.faults is not None and self.faults.stuck_imu_active():
@@ -374,16 +387,16 @@ class Synchronizer:
                     imu["accel_x"], imu["accel_y"], imu["accel_z"], imu["gyro_z"], imu["timestamp"]
                 )
             )
-        elif ptype == PacketType.DEPTH_REQ:
+        elif ptype == _DEPTH_REQ:
             self.stats.depth_requests += 1
             self._transmit(depth_response(self.rpc.get_depth()))
-        elif ptype == PacketType.LIDAR_REQ:
+        elif ptype == _LIDAR_REQ:
             self.stats.lidar_requests += 1
             scan = self.rpc.get_lidar()
             self._transmit(
                 lidar_response(scan["fov_rad"], scan["timestamp"], scan["ranges"])
             )
-        elif ptype == PacketType.STATE_REQ:
+        elif ptype == _STATE_REQ:
             self.stats.state_requests += 1
             st = self.rpc.get_state()
             self._transmit(
@@ -392,7 +405,7 @@ class Synchronizer:
                     self.sim_time,
                 )
             )
-        elif ptype == PacketType.TARGET_CMD:
+        elif ptype == _TARGET_CMD:
             self.stats.target_commands += 1
             v_forward, v_lateral, yaw_rate, altitude = packet.values
             self.stats.last_target = (v_forward, v_lateral, yaw_rate, altitude)
@@ -445,7 +458,7 @@ class Synchronizer:
         self._grant_packets_total.inc()
         if timer is not None:
             t0 = wall_clock()
-        record = self.rpc.continue_for_frames(self.sync.frames_per_sync)
+        record = self.rpc.continue_for_frames(self._frames_per_sync)
         self.mission_complete = record["mission_complete"]
         if timer is not None:
             timer.add("env_step", wall_clock() - t0)
@@ -466,10 +479,10 @@ class Synchronizer:
                 f"sync-step {step_index}",
                 "sync",
                 self.sim_time,
-                self.sync.sync_period_seconds,
+                self._sync_period,
                 step=step_index,
             )
-        self.sim_time += self.sync.sync_period_seconds
+        self.sim_time += self._sync_period
         self.stats.steps += 1
         self._steps_total.inc()
         if self.invariants is not None:
@@ -531,7 +544,8 @@ class Synchronizer:
         done = progressed = False
         for packet in self.transport.drain():
             progressed = True
-            if packet.ptype == PacketType.SYNC_DONE:
+            ptype = packet.ptype
+            if ptype == _SYNC_DONE:
                 got_index = int(packet.values[0])
                 if got_index == step_index:
                     done = True
@@ -546,12 +560,12 @@ class Synchronizer:
                     raise SyncError(
                         f"out-of-order SYNC_DONE: expected {step_index}, got {got_index}"
                     )
-            elif packet.ptype.is_data:
+            elif ptype in DATA_TYPES:
                 # Emitted by the SoC during this period; handled at the
                 # start of the next loop iteration (Algorithm 1).
                 self._pending_rtl.append(packet)
             else:
-                raise SyncError(f"unexpected packet at synchronizer: {packet.ptype.name}")
+                raise SyncError(f"unexpected packet at synchronizer: {ptype.name}")
         return done, progressed
 
     def _complete_by_call(

@@ -91,6 +91,8 @@ class InferenceSession:
         # network's IMU trunk or shared head) skip it.
         self._include_session_fixed = include_session_fixed
         self._plan = self._build_plan()
+        #: Gemmini-placed nodes of the plan: ``ops_executed`` per inference.
+        self._gemmini_ops = sum(1 for c in self._plan.node_costs if c.backend == "gemmini")
         self.inferences_run = 0
 
     def _cost_node(self, node: Node) -> NodeCost:
@@ -142,9 +144,7 @@ class InferenceSession:
     def _run(self) -> InferenceReport:
         if self.gemmini is not None:
             self.gemmini.busy_cycles += self._plan.gemmini_cycles
-            self.gemmini.ops_executed += sum(
-                1 for c in self._plan.node_costs if c.backend == "gemmini"
-            )
+            self.gemmini.ops_executed += self._gemmini_ops
         self.inferences_run += 1
         return self._plan
 

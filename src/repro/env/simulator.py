@@ -80,6 +80,14 @@ class TrajectorySample:
     s: float  # course arclength
     d: float  # signed lateral offset
 
+    def __reduce__(self) -> tuple[type[TrajectorySample], tuple[float, ...]]:
+        # Positional: a pickled sample carries no field names and loads
+        # in one constructor call (copy and deepcopy take this path too).
+        return (
+            type(self),
+            (self.time, self.x, self.y, self.z, self.yaw, self.speed, self.s, self.d),
+        )
+
 
 class EnvSimulator:
     """Frame-stepped UAV environment simulation.

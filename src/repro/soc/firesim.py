@@ -23,10 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.packets import DataPacket, PacketType, sync_done
+from repro.core.packets import DATA_TYPES, DataPacket, PacketType, sync_done
 from repro.core.transport import Transport
 from repro.errors import SyncError
 from repro.soc.soc import Soc
+
+# Member aliases for the per-packet tests (see packets.DATA_TYPES).
+_SET_STEPS = PacketType.SYNC_SET_STEPS
+_GRANT = PacketType.SYNC_GRANT
+_RESET = PacketType.SYNC_RESET
+_SHUTDOWN = PacketType.SYNC_SHUTDOWN
 
 
 class FireSimHost:
@@ -72,19 +78,20 @@ class FireSimHost:
     # ------------------------------------------------------------------
     def _ingest(self) -> None:
         for packet in self.transport.drain():
-            if packet.ptype == PacketType.SYNC_SET_STEPS:
+            ptype = packet.ptype
+            if ptype == _SET_STEPS:
                 cycles, frames = packet.values
                 self.bridge.set_steps(cycles, frames)
-            elif packet.ptype == PacketType.SYNC_GRANT:
+            elif ptype == _GRANT:
                 self._pending_grants.append((int(packet.values[0]), True))
-            elif packet.ptype == PacketType.SYNC_RESET:
+            elif ptype == _RESET:
                 self._pending_grants.clear()
-            elif packet.ptype == PacketType.SYNC_SHUTDOWN:
+            elif ptype == _SHUTDOWN:
                 self.shutdown_requested = True
-            elif packet.ptype.is_data:
+            elif ptype in DATA_TYPES:
                 self._inject(packet)
             else:
-                raise SyncError(f"unexpected packet {packet.ptype.name} at FireSim host")
+                raise SyncError(f"unexpected packet {ptype.name} at FireSim host")
 
     def _inject(self, packet: DataPacket) -> None:
         # Retry deferred packets first to preserve ordering.

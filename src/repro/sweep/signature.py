@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from collections.abc import Iterable
+from operator import attrgetter
+from typing import Any, Callable
 
 from repro.core.cosim import MissionResult
 
@@ -31,8 +33,45 @@ def _num(value: float | None) -> str:
 #: the conformance diff reports translate list indices through these.
 TRAJECTORY_FIELDS = ("time", "x", "y", "z", "yaw", "speed", "s", "d")
 
+_sample_values: Callable[[Any], tuple[Any, ...]] = attrgetter(*TRAJECTORY_FIELDS)
+
+
+class _FloatTexts(dict[float, str]):
+    """:func:`_num` of many values, with the ``repr`` of each distinct
+    non-zero float computed once.
+
+    A float's ``repr`` is most of a payload's cost, and a mission repeats
+    its values: the op stream logs the trajectory's poses again, and
+    altitude and targets hold steady between commands.  Only a value of
+    type exactly ``float`` that is neither zero nor NaN is looked up:
+    ``0.0`` and ``-0.0`` are one key with two texts, NaN equals nothing,
+    and any other type (``np.float64``, ``int``, ``bool``, ``None``)
+    takes :func:`_num` as it is.  One instance serves one payload.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
+
+    def numbers(self, values: Iterable[Any]) -> list[str]:
+        """:func:`_num` of every value."""
+        return [
+            self[v] if type(v) is float and v and v == v else _num(v)
+            for v in values
+        ]
+
+    def floats(self, values: Iterable[Any]) -> list[Any]:
+        """:func:`_num` of every float value; other values as they are."""
+        return [
+            self[v]
+            if type(v) is float and v and v == v
+            else _num(v) if isinstance(v, float) else v
+            for v in values
+        ]
+
 
 def canonical_payload(result: MissionResult) -> dict[str, Any]:
+    texts = _FloatTexts()
     payload: dict[str, Any] = {
         "completed": bool(result.completed),
         "mission_time": _num(result.mission_time),
@@ -47,17 +86,12 @@ def canonical_payload(result: MissionResult) -> dict[str, Any]:
         "inference_count": int(result.inference_count),
         "mean_inference_latency_ms": _num(result.mean_inference_latency_ms),
         "trajectory": [
-            [_num(v) for v in (p.time, p.x, p.y, p.z, p.yaw, p.speed, p.s, p.d)]
-            for p in result.trajectory
+            texts.numbers(_sample_values(p)) for p in result.trajectory
         ],
     }
     if result.logger is not None:
         payload["op_stream"] = [
-            [
-                _num(v) if isinstance(v, float) else v
-                for v in row.as_tuple()
-            ]
-            for row in result.logger.rows
+            texts.floats(row.as_tuple()) for row in result.logger.rows
         ]
     stats = result.sync_stats
     if stats is not None:
@@ -71,8 +105,8 @@ def canonical_payload(result: MissionResult) -> dict[str, Any]:
             "lidar_requests": stats.lidar_requests,
             "state_requests": stats.state_requests,
             "target_commands": stats.target_commands,
-            "last_target": [_num(v) for v in stats.last_target],
-            "camera_request_times": [_num(t) for t in stats.camera_request_times],
+            "last_target": texts.numbers(stats.last_target),
+            "camera_request_times": texts.numbers(stats.camera_request_times),
             "faults": stats.fault_summary(),
         }
     return payload

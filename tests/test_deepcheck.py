@@ -492,6 +492,21 @@ class TestDeep003Protocol:
         [diag] = run_deep(tmp_path, ["DEEP003"]).active
         assert "protocol op 'done' is impossible" in diag.message
 
+    def test_awaiting_ack_through_module_alias_counts_as_done(self, tmp_path):
+        make_tree(tmp_path, {
+            "repro/core/bridge.py": """
+                from repro.core.packets import PacketType, sync_shutdown
+
+                _SYNC_DONE = PacketType.SYNC_DONE
+
+                def finish(link, packet):
+                    link.send(sync_shutdown())
+                    return packet.ptype == _SYNC_DONE
+            """,
+        })
+        [diag] = run_deep(tmp_path, ["DEEP003"]).active
+        assert "protocol op 'done' is impossible" in diag.message
+
 
 # ---------------------------------------------------------------------------
 # SARIF export

@@ -498,6 +498,39 @@ class TestCfg001CacheKeyCoverage:
         })
         assert run_lint(tmp_path, rules=["CFG001"]).active == []
 
+    def test_nested_literal_missing_field_flagged(self, tmp_path):
+        make_tree(tmp_path, {
+            "repro/core/config.py": _CONFIG_SOURCE,
+            "repro/core/manifest.py": """
+                def config_to_dict(config):
+                    return {
+                        "world": config.world,
+                        "seed": config.seed,
+                        "sync": {"cycles_per_sync": config.sync.cycles_per_sync},
+                    }
+            """,
+        })
+        report = run_lint(tmp_path, rules=["CFG001"])
+        assert active_rules(report) == ["CFG001"]
+        assert "frame_rate_hz" in report.active[0].message
+
+    def test_field_by_field_literal_is_clean(self, tmp_path):
+        make_tree(tmp_path, {
+            "repro/core/config.py": _CONFIG_SOURCE,
+            "repro/core/manifest.py": """
+                def config_to_dict(config):
+                    return {
+                        "world": config.world,
+                        "seed": config.seed,
+                        "sync": {
+                            "cycles_per_sync": config.sync.cycles_per_sync,
+                            "frame_rate_hz": config.sync.frame_rate_hz,
+                        },
+                    }
+            """,
+        })
+        assert run_lint(tmp_path, rules=["CFG001"]).active == []
+
     def test_missing_serializer_flagged(self, tmp_path):
         make_tree(tmp_path, {
             "repro/core/config.py": _CONFIG_SOURCE,
