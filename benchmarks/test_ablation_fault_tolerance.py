@@ -43,7 +43,7 @@ def test_fault_tolerance_ablation(benchmark, run_once):
         )
         rows.append([
             f"{drop:.0%}", status, dropped, stats.sensor_timeouts,
-            stats.sensor_retries, stats.stale_frames_reused + stats.held_commands,
+            stats.sensor_retries, stats.stale_frames_reused,
         ])
     print()
     print(format_table(

@@ -30,8 +30,6 @@ from repro.core.packets import PacketType, camera_request, target_command
 from repro.dnn.calibrated import TrailInference
 from repro.dnn.dataset import LEFT, RIGHT
 from repro.errors import ConfigError
-from repro.obs.declarations import mission_registry
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -107,55 +105,27 @@ class AppStats:
     """Application-side telemetry shared with the host experiment.
 
     ``records`` measure the image-request -> DNN-output latency in target
-    cycles — the quantity Figure 16(c) plots.
+    cycles — the quantity Figure 16(c) plots.  Every field is a plain
+    count; the mission runner publishes them as the ``rose_app_*``
+    series when it collects the result.
     """
 
     records: list[InferenceRecord] = field(default_factory=list)
     session_switches: int = 0
     inferences_by_model: dict[str, int] = field(default_factory=dict)
-    registry: MetricsRegistry = field(
-        default_factory=mission_registry, repr=False, compare=False
-    )
-
-    # -- degradation telemetry (all zero on a healthy link), stored as
-    # -- registry-backed views so the obs layer is the source of truth --
-    @property
-    def sensor_timeouts(self) -> int:
-        """Sensor waits that expired."""
-        return int(self.registry.value("rose_app_sensor_timeouts_total"))
-
-    @sensor_timeouts.setter
-    def sensor_timeouts(self, total: int) -> None:
-        self.registry.advance_to("rose_app_sensor_timeouts_total", total)
-
-    @property
-    def sensor_retries(self) -> int:
-        """Requests re-issued after a timeout."""
-        return int(self.registry.value("rose_app_sensor_retries_total"))
-
-    @sensor_retries.setter
-    def sensor_retries(self, total: int) -> None:
-        self.registry.advance_to("rose_app_sensor_retries_total", total)
-
-    @property
-    def stale_frames_reused(self) -> int:
-        """Iterations flown on the previous frame."""
-        return int(self.registry.value("rose_app_stale_frames_total"))
-
-    @stale_frames_reused.setter
-    def stale_frames_reused(self, total: int) -> None:
-        self.registry.advance_to("rose_app_stale_frames_total", total)
-
-    @property
-    def held_commands(self) -> int:
-        """Iterations that re-sent the last command: always 0, since the
-        trail controller has no command to hold before its first frame
-        (kept as a column of the obs record)."""
-        return int(self.registry.value("rose_app_held_commands_total"))
-
-    @held_commands.setter
-    def held_commands(self, total: int) -> None:
-        self.registry.advance_to("rose_app_held_commands_total", total)
+    # -- degradation telemetry (all zero on a healthy link) --------------
+    #: Sensor waits that expired.
+    sensor_timeouts: int = 0
+    #: Requests re-issued after a timeout.
+    sensor_retries: int = 0
+    #: Iterations flown on the previous frame.
+    stale_frames_reused: int = 0
+    # -- dynamic runtime deadline policy (Section 5.3) -------------------
+    #: Deadline evaluations by whether the situation was at risk
+    #: (``"true"``/``"false"``).
+    deadline_checks: dict[str, int] = field(default_factory=dict)
+    #: Evaluations whose selected network could not meet the deadline.
+    deadline_misses: int = 0
 
     @property
     def inference_count(self) -> int:
@@ -171,13 +141,8 @@ class AppStats:
         return 1e3 * float(np.mean(lats)) / frequency_hz
 
     def record(self, request_cycle: int, response_cycle: int, model: str) -> None:
-        record = InferenceRecord(request_cycle, response_cycle, model)
-        self.records.append(record)
+        self.records.append(InferenceRecord(request_cycle, response_cycle, model))
         self.inferences_by_model[model] = self.inferences_by_model.get(model, 0) + 1
-        self.registry.inc("rose_app_inferences_total", model=model)
-        self.registry.observe(
-            "rose_app_inference_latency_cycles", record.latency_cycles, model=model
-        )
 
 
 def trail_navigation_app(

@@ -64,9 +64,9 @@ def dynamic_trail_app(
         )
         depth = float(depth_packet.values[0])
         at_risk = config.policy.at_risk(depth, target_velocity)
-        stats.registry.inc(
-            "rose_app_deadline_checks_total", at_risk="true" if at_risk else "false"
-        )
+        checks = stats.deadline_checks
+        outcome = "true" if at_risk else "false"
+        checks[outcome] = checks.get(outcome, 0) + 1
         if at_risk:
             session, perception, argmax = session_lo, perception_lo, True
         else:
@@ -76,7 +76,7 @@ def dynamic_trail_app(
         # be too slow for the measured time-to-collision.
         compute_s = session.report.total_cycles / session.cpu.frequency_hz
         if not config.policy.meets_deadline(depth, target_velocity, compute_s):
-            stats.registry.inc("rose_app_deadline_misses_total")
+            stats.deadline_misses += 1
 
         # Session re-activation cost when the selection changed.
         if active_model is not None and session.graph.name != active_model:

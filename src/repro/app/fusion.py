@@ -21,8 +21,6 @@ from repro.app.controller import ControllerGains
 from repro.core.packets import PacketType, camera_request, imu_request, target_command
 from repro.dnn.dataset import LEFT, RIGHT
 from repro.errors import ConfigError
-from repro.obs.declarations import mission_registry
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -43,51 +41,19 @@ class FusionConfig:
 
 @dataclass
 class FusionStats:
-    """Branch-execution telemetry."""
+    """Branch-execution telemetry, as plain counts (the mission runner
+    publishes the degradation counters as ``rose_fusion_*`` series)."""
 
     imu_branch_runs: int = 0
     camera_branch_runs: int = 0
     head_runs: int = 0
-    registry: MetricsRegistry = field(
-        default_factory=mission_registry, repr=False, compare=False
-    )
-
-    # -- degradation telemetry (all zero on a healthy link), stored as
-    # -- registry-backed views so the obs layer is the source of truth --
-    @property
-    def imu_timeouts(self) -> int:
-        """IMU waits that expired (integration skipped)."""
-        return int(
-            self.registry.value("rose_fusion_sensor_timeouts_total", sensor="imu")
-        )
-
-    @imu_timeouts.setter
-    def imu_timeouts(self, total: int) -> None:
-        self.registry.advance_to(
-            "rose_fusion_sensor_timeouts_total", total, sensor="imu"
-        )
-
-    @property
-    def camera_timeouts(self) -> int:
-        """Camera waits that expired (fix skipped)."""
-        return int(
-            self.registry.value("rose_fusion_sensor_timeouts_total", sensor="camera")
-        )
-
-    @camera_timeouts.setter
-    def camera_timeouts(self, total: int) -> None:
-        self.registry.advance_to(
-            "rose_fusion_sensor_timeouts_total", total, sensor="camera"
-        )
-
-    @property
-    def sensor_retries(self) -> int:
-        """Requests re-issued after a timeout."""
-        return int(self.registry.value("rose_fusion_sensor_retries_total"))
-
-    @sensor_retries.setter
-    def sensor_retries(self, total: int) -> None:
-        self.registry.advance_to("rose_fusion_sensor_retries_total", total)
+    # -- degradation telemetry (all zero on a healthy link) --------------
+    #: IMU waits that expired (integration skipped).
+    imu_timeouts: int = 0
+    #: Camera waits that expired (fix skipped).
+    camera_timeouts: int = 0
+    #: Requests re-issued after a timeout.
+    sensor_retries: int = 0
 
     @property
     def camera_rate_fraction(self) -> float:

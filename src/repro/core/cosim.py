@@ -29,12 +29,14 @@ from repro.core.config import CoSimConfig
 from repro.core.csvlog import SyncLogger
 from repro.core.faults import FaultInjector
 from repro.core.invariants import InvariantChecker, invariants_enabled
+from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer, SyncStats
 from repro.core.timing import StageTimer, TimedPerception
 from repro.core.trace import Tracer
 from repro.core.transport import FaultyTransport, transport_pair
 from repro.errors import TransportError, WatchdogError
 from repro.obs.declarations import mission_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecord, trace_summary
 from repro.dnn.calibrated import classifier_profile
 from repro.dnn.resnet import build_resnet_graph
@@ -140,10 +142,6 @@ class CoSimulation:
         self.tracer = tracer
         #: Wall-clock stage accounting for this run (observational only).
         self.stage_timer = StageTimer()
-        #: The per-mission metrics registry (repro.obs), shared by every
-        #: component below.  Instrumentation is observational: recording
-        #: never consumes RNG, reads wall clock, or alters behaviour.
-        self.obs = mission_registry()
         #: One shared InferenceSession per model within this simulation —
         #: the dynamic runtime and background tenants reuse graphs/plans
         #: instead of rebuilding them per call site.
@@ -187,11 +185,9 @@ class CoSimulation:
         self.fault_injector = (
             FaultInjector(config.faults) if config.faults is not None else None
         )
-        if self.fault_injector is not None:
-            self.fault_injector.registry = self.obs
-        self.app_stats = AppStats(registry=self.obs)
+        self.app_stats = AppStats()
         self.mpc_stats = MpcStats()
-        self.fusion_stats = FusionStats(registry=self.obs)
+        self.fusion_stats = FusionStats()
         self.slam_stats = SlamNavStats()
         self.background_stats = SlamNavStats()
         self.monitor_stats = MonitorStats()
@@ -239,7 +235,6 @@ class CoSimulation:
             faults=self.fault_injector,
             stage_timer=self.stage_timer,
             invariants=self.invariants,
-            registry=self.obs,
         )
 
     # ------------------------------------------------------------------
@@ -274,7 +269,6 @@ class CoSimulation:
                 target_velocity=config.target_velocity,
             )
             self.app_stats = pipeline.stats
-            self.app_stats.registry = self.obs
             self.ros_pipeline = pipeline
             return None
         if config.controller == "slam":
@@ -464,7 +458,8 @@ class CoSimulation:
             avg_velocity = (
                 float(np.mean([p.speed for p in traj])) if traj else 0.0
             )
-        self._record_final_metrics(completed)
+        obs = mission_registry()
+        self._record_final_metrics(obs, completed)
         result = MissionResult(
             config=self.config,
             completed=completed,
@@ -495,7 +490,7 @@ class CoSimulation:
         result.obs = FlightRecord(
             label=result.label,
             config_key=config_key(self.config),
-            metrics=self.obs.snapshot(),
+            metrics=obs.snapshot(),
             stage_timings=self.stage_timer.asdict(),
             trace=(
                 trace_summary(self.tracer.events)
@@ -505,14 +500,89 @@ class CoSimulation:
         )
         return result
 
-    def _record_final_metrics(self, completed: bool) -> None:
-        """Fold end-of-mission component counters into the registry.
+    def _record_final_metrics(self, obs: MetricsRegistry, completed: bool) -> None:
+        """Publish the finished mission's counts into its registry.
 
-        These are totals that only settle once the mission is over (SoC
-        cycle books, bridge queue counters, transport byte counts), so
-        they are advanced here rather than incremented on the hot path.
+        This is the one place a mission's ``rose_*`` series are written;
+        the components count in plain fields while the mission flies.  A
+        counted series exists iff its count is non-zero, except the
+        two-ended CRC discard total (always written) and, under any fault
+        plan, the four ``rose_link_faults_total`` kinds (written at 0
+        too).  The SoC, bridge, link-byte and mission-summary totals
+        settle only once the mission is over and are always written.
         """
-        obs = self.obs
+        sync = self.synchronizer.stats
+        if sync.steps:
+            obs.advance_to("rose_sync_steps_total", sync.steps)
+        if sync.sync_grants:
+            obs.advance_to("rose_sync_grants_total", sync.sync_grants)
+            obs.advance_to(
+                "rose_link_packets_total",
+                sync.sync_grants,
+                direction="to_rtl",
+                ptype=PacketType.SYNC_GRANT.name,
+            )
+        for (direction, ptype), count in sync.link_packets.items():
+            obs.advance_to(
+                "rose_link_packets_total", count, direction=direction, ptype=ptype.name
+            )
+        if sync.sync_done_ok:
+            obs.advance_to("rose_sync_done_total", sync.sync_done_ok, result="ok")
+        if sync.stale_sync_done:
+            obs.advance_to("rose_sync_done_total", sync.stale_sync_done, result="stale")
+        if sync.sync_regrants:
+            obs.advance_to("rose_sync_regrants_total", sync.sync_regrants)
+        if sync.watchdog_fires:
+            obs.advance_to("rose_sync_watchdog_fires_total", sync.watchdog_fires)
+        if sync.sensor_faults:
+            obs.advance_to("rose_sync_sensor_faults_total", sync.sensor_faults)
+        obs.advance_to("rose_link_crc_discards_total", sync.corrupt_discards)
+        if self.fault_injector is not None:
+            for kind, total in (
+                ("drop", sync.packets_dropped),
+                ("corrupt", sync.packets_corrupted),
+                ("duplicate", sync.packets_duplicated),
+                ("delay", sync.packets_delayed),
+            ):
+                obs.advance_to("rose_link_faults_total", total, kind=kind)
+            for (kind, ptype), count in self.fault_injector.injected.items():
+                obs.advance_to(
+                    "rose_faults_injected_total", count, kind=kind, ptype=ptype.name
+                )
+
+        app = self.app_stats
+        for model, count in app.inferences_by_model.items():
+            obs.advance_to("rose_app_inferences_total", count, model=model)
+        for record in app.records:
+            obs.observe(
+                "rose_app_inference_latency_cycles",
+                record.latency_cycles,
+                model=record.model,
+            )
+        if app.sensor_timeouts:
+            obs.advance_to("rose_app_sensor_timeouts_total", app.sensor_timeouts)
+        if app.sensor_retries:
+            obs.advance_to("rose_app_sensor_retries_total", app.sensor_retries)
+        if app.stale_frames_reused:
+            obs.advance_to("rose_app_stale_frames_total", app.stale_frames_reused)
+        for at_risk, count in app.deadline_checks.items():
+            obs.advance_to("rose_app_deadline_checks_total", count, at_risk=at_risk)
+        if app.deadline_misses:
+            obs.advance_to("rose_app_deadline_misses_total", app.deadline_misses)
+        fusion = self.fusion_stats
+        if fusion.imu_timeouts:
+            obs.advance_to(
+                "rose_fusion_sensor_timeouts_total", fusion.imu_timeouts, sensor="imu"
+            )
+        if fusion.camera_timeouts:
+            obs.advance_to(
+                "rose_fusion_sensor_timeouts_total",
+                fusion.camera_timeouts,
+                sensor="camera",
+            )
+        if fusion.sensor_retries:
+            obs.advance_to("rose_fusion_sensor_retries_total", fusion.sensor_retries)
+
         env = self.env
         soc = self.soc
         obs.advance_to("rose_soc_cycles_total", soc.cycle)

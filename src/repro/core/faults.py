@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.packets import HEADER_SIZE, PacketType
@@ -36,7 +36,6 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.invariants import InvariantChecker
-    from repro.obs.metrics import MetricsRegistry
 
 #: The data packet types carrying sensor responses (synchronizer -> SoC).
 SENSOR_RESPONSE_TYPES = (
@@ -255,16 +254,14 @@ class FaultInjector:
         #: Optional conformance hook (repro.core.invariants): verifies the
         #: step counter only ever moves forward.
         self.invariants: "InvariantChecker | None" = None
-        #: Optional observability hook (repro.obs): injections counted by
-        #: kind and packet type at the moment they are decided.  Purely
-        #: observational — no RNG is consumed recording them.
-        self.registry: "MetricsRegistry | None" = None
+        #: Injections by (kind, packet type), counted at the moment they
+        #: are decided (the mission's ``rose_faults_injected_total``).
+        #: Purely observational — no RNG is consumed recording them.
+        self.injected: dict[tuple[str, PacketType], int] = {}
 
     def _record(self, kind: str, ptype: PacketType) -> None:
-        if self.registry is not None:
-            self.registry.inc(
-                "rose_faults_injected_total", kind=kind, ptype=ptype.name
-            )
+        key = (kind, ptype)
+        self.injected[key] = self.injected.get(key, 0) + 1
 
     def begin_step(self, step_index: int) -> None:
         """Advance the injector's notion of the current sync step."""

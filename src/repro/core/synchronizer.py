@@ -59,8 +59,6 @@ from repro.core.trace import Tracer
 from repro.core.transport import InProcessTransport, Transport
 from repro.env.rpc import RpcClient
 from repro.errors import SyncError, WatchdogError
-from repro.obs.declarations import mission_registry
-from repro.obs.metrics import BoundCounter, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - repro.soc imports repro.core
     from repro.soc.firesim import FireSimHost
@@ -97,14 +95,14 @@ class StepRecord(TypedDict):
 
 @dataclass
 class SyncStats:
-    """Counters across one mission.
+    """Counters across one mission, kept as plain fields.
 
-    The fault/resilience columns (``packets_dropped`` … ``sensor_faults``)
-    are *views* over the mission's :class:`~repro.obs.metrics.MetricsRegistry`
-    — reads pull the counter series, writes advance it — so the legacy
-    ``stats.x += 1`` / ``stats.x = total`` call sites and ``fault_summary()``
-    (part of the canonical mission payload) keep working unchanged while
-    the registry stays the single source of truth.
+    The synchronizer counts here while the mission flies; the mission
+    runner publishes them as the ``rose_sync_*`` and ``rose_link_*``
+    series when it collects the result (the registry is written nowhere
+    else).  The fault/resilience columns (``packets_dropped`` …
+    ``sensor_faults``) also feed ``fault_summary()``, part of the
+    canonical mission payload, so they stay ``int``.
     """
 
     steps: int = 0
@@ -119,83 +117,32 @@ class SyncStats:
     last_target: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     #: (sim_time of request) per camera request — latency studies read this.
     camera_request_times: list[float] = field(default_factory=list)
-    registry: MetricsRegistry = field(
-        default_factory=mission_registry, repr=False, compare=False
-    )
-
-    # -- fault / resilience views over the registry ---------------------
-    @property
-    def packets_dropped(self) -> int:
-        """Injected drops (from the fault plan)."""
-        return int(self.registry.value("rose_link_faults_total", kind="drop"))
-
-    @packets_dropped.setter
-    def packets_dropped(self, total: int) -> None:
-        self.registry.advance_to("rose_link_faults_total", total, kind="drop")
-
-    @property
-    def packets_corrupted(self) -> int:
-        """Injected corruptions."""
-        return int(self.registry.value("rose_link_faults_total", kind="corrupt"))
-
-    @packets_corrupted.setter
-    def packets_corrupted(self, total: int) -> None:
-        self.registry.advance_to("rose_link_faults_total", total, kind="corrupt")
-
-    @property
-    def packets_duplicated(self) -> int:
-        """Injected duplicates."""
-        return int(self.registry.value("rose_link_faults_total", kind="duplicate"))
-
-    @packets_duplicated.setter
-    def packets_duplicated(self, total: int) -> None:
-        self.registry.advance_to("rose_link_faults_total", total, kind="duplicate")
-
-    @property
-    def packets_delayed(self) -> int:
-        """Injected delays."""
-        return int(self.registry.value("rose_link_faults_total", kind="delay"))
-
-    @packets_delayed.setter
-    def packets_delayed(self, total: int) -> None:
-        self.registry.advance_to("rose_link_faults_total", total, kind="delay")
-
-    @property
-    def corrupt_discards(self) -> int:
-        """Frames discarded on decode at either link end (the mission
-        runner writes the total when it collects results)."""
-        return int(self.registry.value("rose_link_crc_discards_total"))
-
-    @corrupt_discards.setter
-    def corrupt_discards(self, total: int) -> None:
-        self.registry.advance_to("rose_link_crc_discards_total", total)
-
-    @property
-    def sync_regrants(self) -> int:
-        """SYNC_GRANTs re-issued by the watchdog."""
-        return int(self.registry.value("rose_sync_regrants_total"))
-
-    @sync_regrants.setter
-    def sync_regrants(self, total: int) -> None:
-        self.registry.advance_to("rose_sync_regrants_total", total)
-
-    @property
-    def stale_sync_done(self) -> int:
-        """SYNC_DONEs for already-finished steps."""
-        return int(self.registry.value("rose_sync_done_total", result="stale"))
-
-    @stale_sync_done.setter
-    def stale_sync_done(self, total: int) -> None:
-        self.registry.advance_to("rose_sync_done_total", total, result="stale")
-
-    @property
-    def sensor_faults(self) -> int:
-        """Stuck-IMU / camera-blackout responses served."""
-        return int(self.registry.value("rose_sync_sensor_faults_total"))
-
-    @sensor_faults.setter
-    def sensor_faults(self, total: int) -> None:
-        self.registry.advance_to("rose_sync_sensor_faults_total", total)
+    #: SYNC_GRANT frames sent, regrants included (each is also a
+    #: ``to_rtl`` SYNC_GRANT packet).
+    sync_grants: int = 0
+    #: SYNC_DONEs accepted for the step they completed.
+    sync_done_ok: int = 0
+    #: Watchdog expirations (at most one: it ends the mission).
+    watchdog_fires: int = 0
+    #: Packets by (direction, type): ``to_rtl`` the responses and control
+    #: frames sent, ``from_rtl`` the SoC packets dispatched.  SYNC_GRANTs
+    #: are counted in ``sync_grants`` and SYNC_DONEs are not counted here.
+    link_packets: dict[tuple[str, PacketType], int] = field(default_factory=dict)
+    #: The fault injector's drop/corrupt/duplicate/delay counters as of
+    #: the end of the last step (mirrored every step under a fault plan).
+    packets_dropped: int = 0
+    packets_corrupted: int = 0
+    packets_duplicated: int = 0
+    packets_delayed: int = 0
+    #: Frames discarded on decode at either link end (the mission runner
+    #: writes the total when it collects results).
+    corrupt_discards: int = 0
+    #: SYNC_GRANTs re-issued by the watchdog.
+    sync_regrants: int = 0
+    #: SYNC_DONEs for already-finished steps.
+    stale_sync_done: int = 0
+    #: Stuck-IMU / camera-blackout responses served.
+    sensor_faults: int = 0
 
     def fault_summary(self) -> dict[str, int]:
         """The resilience counters as one dict (reporting/determinism checks)."""
@@ -233,7 +180,6 @@ class Synchronizer:
         faults: FaultInjector | None = None,
         stage_timer: StageTimer | None = None,
         invariants: InvariantChecker | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         self.rpc = rpc
         self.transport = transport
@@ -256,22 +202,7 @@ class Synchronizer:
         #: Optional conformance hook (repro.core.invariants): grant/ack
         #: pairing, monotonic sim time, and cross-layer token checks.
         self.invariants = invariants
-        #: Per-mission metrics registry (repro.obs); shared with the
-        #: mission runner, fault injector, and app layer when provided.
-        self.obs = registry if registry is not None else mission_registry()
-        self.stats = SyncStats(registry=self.obs)
-        #: ``rose_link_packets_total`` series by (direction, type), bound
-        #: on the first packet of each (:meth:`_packets_total`).
-        self._packet_counters: dict[tuple[str, PacketType], BoundCounter] = {}
-        # Series every step writes or the CSV row reads, resolved once.
-        obs = self.obs
-        self._grants_total = obs.bind("rose_sync_grants_total")
-        self._grant_packets_total = self._packets_total("to_rtl", PacketType.SYNC_GRANT)
-        self._done_ok_total = obs.bind("rose_sync_done_total", result="ok")
-        self._steps_total = obs.bind("rose_sync_steps_total")
-        self._dropped_total = obs.bind("rose_link_faults_total", kind="drop")
-        self._corrupted_total = obs.bind("rose_link_faults_total", kind="corrupt")
-        self._regrants_total = obs.bind("rose_sync_regrants_total")
+        self.stats = SyncStats()
         self.sim_time = 0.0
         self._pending_rtl: list[DataPacket] = []
         self._configured = False
@@ -286,28 +217,21 @@ class Synchronizer:
         self.transport.send(
             sync_set_steps(self.sync.cycles_per_sync, self.sync.frames_per_sync)
         )
-        self._packets_total("to_rtl", PacketType.SYNC_SET_STEPS).inc()
+        self._count_packet("to_rtl", PacketType.SYNC_SET_STEPS)
         if self.host is not None:
             self.host.service()
         self._configured = True
 
     def shutdown(self) -> None:
         self.transport.send(sync_shutdown())
-        self._packets_total("to_rtl", PacketType.SYNC_SHUTDOWN).inc()
+        self._count_packet("to_rtl", PacketType.SYNC_SHUTDOWN)
         if self.host is not None:
             self.host.service()
 
-    def _packets_total(self, direction: str, ptype: PacketType) -> BoundCounter:
-        """The ``rose_link_packets_total`` series of one direction and
-        packet type, bound on first use (binding writes nothing)."""
+    def _count_packet(self, direction: str, ptype: PacketType) -> None:
+        packets = self.stats.link_packets
         key = (direction, ptype)
-        counter = self._packet_counters.get(key)
-        if counter is None:
-            counter = self.obs.bind(
-                "rose_link_packets_total", direction=direction, ptype=ptype.name
-            )
-            self._packet_counters[key] = counter
-        return counter
+        packets[key] = packets.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     def dispatch_pending(self) -> None:
@@ -341,7 +265,7 @@ class Synchronizer:
         """Translate one SoC I/O packet into environment API calls."""
         self.stats.packets_from_rtl += 1
         ptype = packet.ptype
-        self._packets_total("from_rtl", ptype).inc()
+        self._count_packet("from_rtl", ptype)
         if self.tracer is not None:
             self.tracer.instant(
                 ptype.name, "packet-from-rtl", self.sim_time, track="io"
@@ -415,7 +339,7 @@ class Synchronizer:
 
     def _transmit(self, packet: DataPacket) -> None:
         self.stats.packets_to_rtl += 1
-        self._packets_total("to_rtl", packet.ptype).inc()
+        self._count_packet("to_rtl", packet.ptype)
         if self.tracer is not None:
             self.tracer.instant(
                 packet.ptype.name, "packet-to-rtl", self.sim_time, track="io"
@@ -454,8 +378,7 @@ class Synchronizer:
             host, link = by_call
             link.charge(_GRANT_FRAME)
             host.grant(step_index)
-        self._grants_total.inc()
-        self._grant_packets_total.inc()
+        self.stats.sync_grants += 1
         if timer is not None:
             t0 = wall_clock()
         record = self.rpc.continue_for_frames(self._frames_per_sync)
@@ -484,7 +407,6 @@ class Synchronizer:
             )
         self.sim_time += self._sync_period
         self.stats.steps += 1
-        self._steps_total.inc()
         if self.invariants is not None:
             self.invariants.after_step(step_index, self.sim_time)
         if self.logger is not None:
@@ -506,7 +428,7 @@ class Synchronizer:
     def _regrant(self, step_index: int, regrants: int) -> int:
         """Watchdog retry: re-issue the grant for a step that went silent."""
         if regrants >= self.sync.max_regrants:
-            self.obs.inc("rose_sync_watchdog_fires_total")
+            self.stats.watchdog_fires += 1
             raise WatchdogError(
                 f"step {step_index} incomplete after {regrants} regrant(s); "
                 "link presumed dead"
@@ -515,8 +437,7 @@ class Synchronizer:
         if self.invariants is not None:
             self.invariants.on_grant(step_index)
         self.transport.send(sync_grant(step_index))
-        self._grants_total.inc()
-        self._grant_packets_total.inc()
+        self.stats.sync_grants += 1
         return regrants + 1
 
     def _service_host(self, host: FireSimHost) -> None:
@@ -530,7 +451,7 @@ class Synchronizer:
         timer.add("soc_step", wall_clock() - t0)
 
     def _accept_done(self, step_index: int) -> None:
-        self._done_ok_total.inc()
+        self.stats.sync_done_ok += 1
         if self.invariants is not None:
             self.invariants.on_done(step_index)
 
@@ -620,7 +541,7 @@ class Synchronizer:
                 continue
             now = time.monotonic()  # repro: allow[DET002] watchdog, host-time by design
             if now > deadline:
-                self.obs.inc("rose_sync_watchdog_fires_total")
+                self.stats.watchdog_fires += 1
                 raise WatchdogError(
                     f"FireSim did not complete step {step_index} within "
                     f"{self.sync.sync_done_timeout_s:g}s"
@@ -650,9 +571,9 @@ class Synchronizer:
             target_v_forward=target[0],
             target_v_lateral=target[1],
             target_yaw_rate=target[2],
-            packets_dropped=self._dropped_total.value(),
-            packets_corrupted=self._corrupted_total.value(),
-            retries=self._regrants_total.value(),
+            packets_dropped=self.stats.packets_dropped,
+            packets_corrupted=self.stats.packets_corrupted,
+            retries=self.stats.sync_regrants,
         )
 
     # ------------------------------------------------------------------

@@ -24,11 +24,11 @@ LATENCY_CYCLE_BUCKETS: tuple[float, ...] = (
 )
 
 #: Metrics declared but not reachable from any committed mission
-#: configuration; the coverage check skips them.  ``held_commands``
-#: mirrors an AppStats column that nothing writes any more: the trail
-#: controller has sent no command before its first frame, so it has
-#: none to hold.  It stays declared because every golden obs snapshot
-#: lists each declared metric.
+#: configuration; the coverage check skips them.
+#: ``rose_app_held_commands_total`` has no writer: the trail controller
+#: has sent no command before its first frame, so it has none to hold.
+#: It stays declared because every golden obs snapshot lists each
+#: declared metric.
 #: The ``rose_sweep_*`` / ``rose_cache_*`` series live in the *sweep*
 #: registry (not in mission snapshots) and record sweep-engine
 #: resilience activity (retries, crashes, journal replays): they only

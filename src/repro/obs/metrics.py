@@ -13,11 +13,14 @@ distributions — while honouring the repository's determinism contract:
 * snapshots are plain JSON-able dicts in sorted key/label order, so
   they diff, hash, and merge deterministically.
 
-A :class:`MetricsRegistry` is *per mission*: the co-simulation creates
-one, threads it through the synchronizer, transports, fault injector,
-SoC, and application layer, and snapshots it into the mission's
+A mission's :class:`MetricsRegistry` is built once, when the
+co-simulation collects the finished flight: the synchronizer, fault
+injector and application layer count in plain fields while it flies,
+and :meth:`~repro.core.cosim.CoSimulation._collect` publishes those
+counts here and snapshots the registry into the mission's
 :class:`~repro.obs.recorder.FlightRecord`.  Sweep-level aggregation
-merges those snapshots (:mod:`repro.obs.aggregate`).
+merges those snapshots (:mod:`repro.obs.aggregate`); the sweep and
+serve registries are written live by their supervisors.
 
 Merge semantics (chosen so shard merges are associative and
 commutative): counters and histograms *sum*; gauges also sum — a merged
@@ -25,11 +28,9 @@ snapshot is a fleet total, not a last-writer-wins scrape.  Code that
 needs a per-mission gauge reads the per-mission record.
 
 Counter values written through :meth:`MetricsRegistry.inc` /
-:meth:`MetricsRegistry.advance_to` stay ``int`` end to end — the legacy
-stats views (``SyncStats.packets_dropped`` etc.) read them back into
-``fault_summary()``, which feeds the canonical mission payload, so an
-``int`` → ``float`` coercion here would silently change every golden
-signature.
+:meth:`MetricsRegistry.advance_to` stay ``int`` end to end: every
+golden record stores its obs snapshot, so an ``int`` → ``float``
+coercion here would show up as telemetry drift in ``verify --check``.
 """
 
 from __future__ import annotations
@@ -98,41 +99,11 @@ class _HistogramState:
     count: int = 0
 
 
-class BoundCounter:
-    """One counter series, resolved once by :meth:`MetricsRegistry.bind`.
-
-    Binding checks the name, kind and label set that :meth:`MetricsRegistry.inc`
-    and :meth:`MetricsRegistry.value` check on every call, so a per-step
-    writer pays for the lookup once per mission.  Binding writes nothing:
-    a bound series never incremented stays absent from the snapshot.
-    """
-
-    __slots__ = ("name", "_series", "_key")
-
-    def __init__(
-        self, name: str, series: dict[_LabelKey, int | float], key: _LabelKey
-    ) -> None:
-        self.name = name
-        self._series = series
-        self._key = key
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (>= 0), exactly as :meth:`MetricsRegistry.inc`."""
-        if amount < 0:
-            raise ConfigError(f"counter {self.name} cannot decrease (inc {amount})")
-        series = self._series
-        series[self._key] = series.get(self._key, 0) + amount
-
-    def value(self) -> int:
-        """The series' value (0 if never written)."""
-        return int(self._series.get(self._key, 0))
-
-
 class MetricsRegistry:
     """A set of declared metrics plus their per-label-set series.
 
     All mutation goes through :meth:`inc`, :meth:`set`, :meth:`observe`,
-    and :meth:`advance_to` (or a :meth:`bind`-ed counter); reads through
+    and :meth:`advance_to`; reads through
     :meth:`value`, :meth:`total`, and :meth:`snapshot`.  Using an
     undeclared metric name, the wrong kind, or the wrong label set raises
     :class:`~repro.errors.ConfigError` — metrics are a typed surface,
@@ -170,13 +141,14 @@ class MetricsRegistry:
     def _key(self, spec: MetricSpec, labels: dict[str, str]) -> _LabelKey:
         declared = spec.labels
         if not labels and not declared:
-            return ()  # fast path: unlabelled series dominate the hot loop
+            return ()  # fast path: most mission series are unlabelled
         n = len(labels)
         if n == len(declared):
             # Equal-length dicts with every declared label present carry
             # exactly the declared label set — no set comparison needed.
-            # One- and two-label metrics cover the hot writers, so they
-            # skip the generator machinery.
+            # One- and two-label metrics cover the busiest writer (a
+            # mission's collect step: one latency observation per
+            # inference), so they skip the generator machinery.
             try:
                 if n == 1:
                     return (str(labels[declared[0]]),)
@@ -195,11 +167,6 @@ class MetricsRegistry:
             raise ConfigError(f"{name} is a {spec.kind}, not a {kind}")
         return spec
 
-    def bind(self, name: str, **labels: str) -> BoundCounter:
-        """A handle on one counter series, checked here instead of per call."""
-        spec = self._expect(name, "counter")
-        return BoundCounter(name, self._scalars[name], self._key(spec, labels))
-
     # -- writes ---------------------------------------------------------
     def inc(self, name: str, amount: int = 1, **labels: str) -> None:
         """Add ``amount`` (>= 0) to a counter series."""
@@ -213,10 +180,10 @@ class MetricsRegistry:
     def advance_to(self, name: str, total: int, **labels: str) -> None:
         """Raise a counter series to an absolute (monotonic) total.
 
-        The bridge between legacy absolute-assignment call sites
-        (``stats.packets_dropped = counters.dropped``) and the
-        increment-only counter model: the series jumps to ``total``, and
-        a shrinking total is rejected loudly.
+        How a component's plain count is published: the mission's
+        collect step writes each total a component counted while the
+        mission flew.  The series jumps to ``total`` (written even at 0),
+        and a total below the series' current value is rejected loudly.
         """
         spec = self._expect(name, "counter")
         key = self._key(spec, labels)

@@ -6,7 +6,8 @@ JSON document:
 * the deterministic metrics snapshot (bit-identical across reruns),
 * the wall-clock :class:`~repro.core.timing.StageTimer` breakdown
   (host-dependent, excluded from the deterministic view),
-* a summary of the :class:`~repro.core.trace.Tracer` event stream.
+* a summary of the :class:`~repro.core.trace.Tracer` event stream
+  (event counts per category; present only when a tracer was attached).
 
 The artifact is attached to ``MissionResult.obs`` and — being a plain
 picklable dataclass — rides through the sweep result cache for free, so
@@ -55,9 +56,11 @@ class FlightRecord:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def deterministic_view(self) -> dict[str, Any]:
-        """The artifact minus host-dependent fields (wall-clock timings,
-        trace durations) — the part that must be bit-identical across
-        reruns of the same config."""
+        """The part of the artifact that must be bit-identical across
+        reruns of the same config: everything but the stage timings,
+        which are host wall clock, and the trace summary, which exists
+        only when a tracer was attached (its counts are simulated and
+        deterministic)."""
         return {
             "format": OBS_FORMAT,
             "label": self.label,
@@ -86,8 +89,9 @@ class FlightRecord:
 
 
 def trace_summary(events: list[Any]) -> dict[str, Any]:
-    """Summarise Tracer events deterministically (counts only, no
-    durations — span durations are wall clock)."""
+    """Summarise Tracer events as counts: the total and the number per
+    category.  Event times are simulated seconds, as deterministic as the
+    counts; the summary keeps only the counts."""
     by_category: dict[str, int] = {}
     for event in events:
         category = str(getattr(event, "category", "unknown"))

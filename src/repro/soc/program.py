@@ -131,25 +131,18 @@ class TargetRuntime:
         request: DataPacket,
         response_type: PacketType,
         timeout_cycles: int | None = None,
-        retries: int = 0,
     ):
         """Send a request and wait for its typed response (RPC pattern).
 
-        With a ``timeout_cycles`` deadline the request is *re-issued* up to
-        ``retries`` times when the response fails to arrive — the recovery
-        path for a response dropped on a faulty link — and ``None`` is
-        returned once every attempt has timed out.  Without a deadline
-        (the default) the wait is indefinite, exactly as before.
+        With a ``timeout_cycles`` deadline, ``None`` is returned when the
+        response fails to arrive in time (a response dropped on a faulty
+        link); callers that retry re-issue the request and count the
+        attempt themselves.  Without a deadline (the default) the wait is
+        indefinite.
         """
-        attempts = 0
-        while True:
-            yield from self.send_packet(request)
-            response = yield from self.recv_packet_of(response_type, timeout_cycles)
-            if response is not None or timeout_cycles is None:
-                return response
-            if attempts >= retries:
-                return None
-            attempts += 1
+        yield from self.send_packet(request)
+        response = yield from self.recv_packet_of(response_type, timeout_cycles)
+        return response
 
     # -- compute helpers ----------------------------------------------------
     def run_inference(self, session):

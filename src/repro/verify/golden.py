@@ -170,9 +170,9 @@ class GoldenRecord:
     metrics: dict[str, Any]
     payload: dict[str, Any]
     #: The mission's deterministic obs snapshot (repro.obs metrics dict).
-    #: ``None`` in records captured before the observability layer existed
-    #: — the checker tolerates that and compares only when present.
-    obs: dict[str, Any] | None = None
+    #: Required: ``verify --check`` compares it after the signature, so a
+    #: record without one would let telemetry drift pass.
+    obs: dict[str, Any]
 
     def to_json(self) -> str:
         data: dict[str, Any] = {
@@ -182,9 +182,8 @@ class GoldenRecord:
             "signature": self.signature,
             "metrics": self.metrics,
             "payload": self.payload,
+            "obs": self.obs,
         }
-        if self.obs is not None:
-            data["obs"] = self.obs
         return json.dumps(data, sort_keys=True, indent=1)
 
     @classmethod
@@ -192,19 +191,23 @@ class GoldenRecord:
         data = json.loads(text)
         if data.get("format") != GOLDEN_FORMAT:
             raise ValueError(f"unsupported golden format {data.get('format')!r}")
+        if "obs" not in data:
+            raise ValueError("golden record carries no obs snapshot; re-record it")
         return cls(
             name=data["name"],
             config=data["config"],
             signature=data["signature"],
             metrics=data["metrics"],
             payload=data["payload"],
-            obs=data.get("obs"),
+            obs=data["obs"],
         )
 
 
 def record_mission(name: str, config: CoSimConfig) -> GoldenRecord:
     """Run one mission and capture its golden record."""
     result = run_mission(config)
+    if result.obs is None:
+        raise ValueError(f"mission {name!r} produced no obs snapshot to record")
     payload = canonical_payload(result)
     metrics = {key: payload[key] for key in METRIC_FIELDS if key in payload}
     return GoldenRecord(
@@ -213,7 +216,7 @@ def record_mission(name: str, config: CoSimConfig) -> GoldenRecord:
         signature=mission_signature(result),
         metrics=metrics,
         payload=payload,
-        obs=result.obs.metrics if result.obs is not None else None,
+        obs=result.obs.metrics,
     )
 
 
@@ -297,21 +300,23 @@ def _check_one(name: str, config: CoSimConfig, record: GoldenRecord) -> MissionC
     if signature == record.signature:
         # The signature covers the canonical payload; the obs snapshot is
         # checked separately so telemetry drift is caught even when the
-        # legacy metrics agree.  Records captured before the observability
-        # layer existed carry no snapshot and are tolerated as-is.
-        if record.obs is not None and result.obs is not None:
-            recorded_obs = _json_round_trip(record.obs)
-            current_obs = _json_round_trip(result.obs.metrics)
-            if recorded_obs != current_obs:
-                divergence = first_divergence(
-                    recorded_obs, current_obs, f"{name}.obs"
-                )
-                return MissionCheck(
-                    name=name,
-                    status="drift",
-                    divergence=divergence,
-                    detail="obs snapshot diverged from recorded telemetry",
-                )
+        # payload agrees.  A replay that lost its snapshot is drift too.
+        if result.obs is None:
+            return MissionCheck(
+                name=name,
+                status="drift",
+                detail="replayed mission produced no obs snapshot",
+            )
+        recorded_obs = _json_round_trip(record.obs)
+        current_obs = _json_round_trip(result.obs.metrics)
+        if recorded_obs != current_obs:
+            divergence = first_divergence(recorded_obs, current_obs, f"{name}.obs")
+            return MissionCheck(
+                name=name,
+                status="drift",
+                divergence=divergence,
+                detail="obs snapshot diverged from recorded telemetry",
+            )
         return MissionCheck(name=name, status="ok")
     payload = canonical_payload(result)
     divergence = mission_divergence(record.payload, payload, name)

@@ -495,9 +495,9 @@ class TestMissionUnderFaults:
         stats = result.app_stats
         assert stats.sensor_timeouts > 0
         # Every expired wait either triggered a retry or fell through to a
-        # degradation action (stale frame / held command / blind restart).
+        # degradation action (stale frame / blind restart).
         assert stats.sensor_timeouts >= stats.sensor_retries
-        assert stats.sensor_retries + stats.stale_frames_reused + stats.held_commands > 0
+        assert stats.sensor_retries + stats.stale_frames_reused > 0
         assert result.sync_stats.packets_dropped > 0
 
     def test_dead_link_is_structured_watchdog_failure(self):

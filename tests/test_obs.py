@@ -2,7 +2,7 @@
 
 Covers the metrics registry semantics, the declarations catalog, the
 flight recorder, exporters and artifact validation, snapshot merging,
-the legacy-stats thin views, sweep-level telemetry aggregation
+the stats fields a mission publishes, sweep-level telemetry aggregation
 (parallel == serial, cache hits reconstitute their telemetry), and the
 ``obs`` CLI.
 """
@@ -15,11 +15,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import CoSimConfig
-from repro.core.cosim import run_mission
+from repro.core.cosim import CoSimulation, run_mission
 from repro.core.faults import FaultPlan
 from repro.core.synchronizer import SyncStats
-from repro.app.controller import AppStats
-from repro.app.fusion import FusionStats
 from repro.errors import ConfigError
 from repro.obs import (
     COVERAGE_EXEMPT,
@@ -214,42 +212,6 @@ class TestRegistry:
         a = json.dumps(reg.snapshot(), sort_keys=True)
         b = json.dumps(reg.snapshot(), sort_keys=True)
         assert a == b
-
-
-class TestBoundCounter:
-    def test_same_snapshot_as_inc(self):
-        by_name, bound = small_registry(), small_registry()
-        handle = bound.bind("rose_ops_total", kind="a")
-        bound.bind("rose_ops_total", kind="never")  # binding writes nothing
-        for amount in (1, 2, 0, 5):
-            by_name.inc("rose_ops_total", amount, kind="a")
-            handle.inc(amount)
-        assert bound.snapshot() == by_name.snapshot()
-        assert handle.value() == by_name.value("rose_ops_total", kind="a") == 8
-        assert type(handle.value()) is int
-
-    def test_reads_what_the_registry_writes(self):
-        reg = small_registry()
-        handle = reg.bind("rose_ops_total", kind="a")
-        assert handle.value() == 0
-        reg.advance_to("rose_ops_total", 4, kind="a")
-        assert handle.value() == 4
-
-    def test_checks_happen_at_bind_time(self):
-        reg = small_registry()
-        with pytest.raises(ConfigError):
-            reg.bind("rose_nope_total")  # undeclared name
-        with pytest.raises(ConfigError):
-            reg.bind("rose_level")  # a gauge, not a counter
-        with pytest.raises(ConfigError):
-            reg.bind("rose_ops_total")  # missing the kind label
-        with pytest.raises(ConfigError):
-            reg.bind("rose_ops_total", kind="a", extra="b")
-
-    def test_negative_inc_rejected(self):
-        handle = small_registry().bind("rose_ops_total", kind="a")
-        with pytest.raises(ConfigError):
-            handle.inc(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +457,37 @@ class TestSchema:
 
 
 # ---------------------------------------------------------------------------
-# Legacy stats thin views
+# Stats fields, as the mission's snapshot publishes them
 # ---------------------------------------------------------------------------
-class TestStatsViews:
-    def test_sync_stats_views_read_registry(self):
-        stats = SyncStats()
-        stats.packets_dropped += 1
-        stats.packets_dropped += 1
-        stats.corrupt_discards = 3
-        assert stats.packets_dropped == 2
-        assert stats.corrupt_discards == 3
-        assert stats.registry.value("rose_link_faults_total", kind="drop") == 2
-        assert stats.registry.value("rose_link_crc_discards_total") == 3
+def published(cosim: CoSimulation) -> dict:
+    """The obs snapshot ``cosim`` publishes when it collects its result."""
+    return cosim.finish(None).obs.metrics
 
-    def test_sync_stats_decrease_rejected(self):
-        stats = SyncStats()
-        stats.sync_regrants = 4
-        with pytest.raises(ConfigError):
-            stats.sync_regrants = 2
+
+def series_value(snap: dict, name: str, **labels: str):
+    """One series' value (a histogram row's dict), or None if absent."""
+    for row in snap[name]["series"]:
+        if row["labels"] == labels:
+            return row.get("value", row)
+    return None
+
+
+class TestStatsViews:
+    """The stats dataclasses count in plain fields; collecting a mission
+    publishes each non-zero count as its series."""
+
+    def test_sync_stats_views_read_registry(self):
+        cosim = CoSimulation(tiny_config(faults=FaultPlan()))
+        stats = cosim.synchronizer.stats
+        stats.packets_dropped += 1
+        stats.packets_dropped += 1
+        stats.sync_regrants += 1
+        snap = published(cosim)
+        assert stats.packets_dropped == 2
+        assert series_value(snap, "rose_link_faults_total", kind="drop") == 2
+        assert series_value(snap, "rose_link_faults_total", kind="delay") == 0
+        assert series_value(snap, "rose_sync_regrants_total") == 1
+        assert series_value(snap, "rose_sync_done_total", result="stale") is None
 
     def test_fault_summary_reads_views(self):
         stats = SyncStats()
@@ -524,43 +499,43 @@ class TestStatsViews:
         assert all(type(v) is int for v in summary.values())
 
     def test_app_stats_views(self):
-        stats = AppStats()
+        cosim = CoSimulation(tiny_config())
+        stats = cosim.app_stats
         stats.sensor_timeouts += 1
         stats.stale_frames_reused += 1
-        assert stats.sensor_timeouts == 1
-        assert stats.registry.value("rose_app_sensor_timeouts_total") == 1
-        assert stats.registry.value("rose_app_stale_frames_total") == 1
+        stats.deadline_checks["true"] = 3
+        stats.deadline_misses += 1
+        snap = published(cosim)
+        assert series_value(snap, "rose_app_sensor_timeouts_total") == 1
+        assert series_value(snap, "rose_app_stale_frames_total") == 1
+        assert series_value(snap, "rose_app_sensor_retries_total") is None
+        assert series_value(snap, "rose_app_deadline_checks_total", at_risk="true") == 3
+        assert series_value(snap, "rose_app_deadline_checks_total", at_risk="false") is None
+        assert series_value(snap, "rose_app_deadline_misses_total") == 1
 
     def test_app_stats_record_feeds_metrics(self):
-        stats = AppStats()
+        cosim = CoSimulation(tiny_config())
+        stats = cosim.app_stats
         stats.record(100, 300, "resnet6")
         stats.record(100, 500, "resnet6")
         assert stats.inference_count == 2
-        assert (
-            stats.registry.value("rose_app_inferences_total", model="resnet6") == 2
-        )
-        snap = stats.registry.snapshot()
-        row = snap["rose_app_inference_latency_cycles"]["series"][0]
+        snap = published(cosim)
+        assert series_value(snap, "rose_app_inferences_total", model="resnet6") == 2
+        row = series_value(snap, "rose_app_inference_latency_cycles", model="resnet6")
         assert row["count"] == 2
-        assert row["sum"] == pytest.approx(600.0)
+        assert row["sum"] == 600 and type(row["sum"]) is int
 
     def test_fusion_stats_views(self):
-        stats = FusionStats()
+        cosim = CoSimulation(tiny_config(controller="fusion"))
+        stats = cosim.fusion_stats
         stats.imu_timeouts += 2
         stats.camera_timeouts += 1
         stats.sensor_retries += 3
+        snap = published(cosim)
         assert stats.imu_timeouts == 2
-        assert (
-            stats.registry.value("rose_fusion_sensor_timeouts_total", sensor="imu")
-            == 2
-        )
-        assert (
-            stats.registry.value(
-                "rose_fusion_sensor_timeouts_total", sensor="camera"
-            )
-            == 1
-        )
-        assert stats.registry.value("rose_fusion_sensor_retries_total") == 3
+        assert series_value(snap, "rose_fusion_sensor_timeouts_total", sensor="imu") == 2
+        assert series_value(snap, "rose_fusion_sensor_timeouts_total", sensor="camera") == 1
+        assert series_value(snap, "rose_fusion_sensor_retries_total") == 3
 
 
 # ---------------------------------------------------------------------------

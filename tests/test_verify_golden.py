@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import CoSimConfig
+from repro.core.cosim import run_mission
 from repro.verify import (
     DEFAULT_GOLDEN_DIR,
     GoldenRecord,
@@ -16,6 +17,7 @@ from repro.verify import (
     record_corpus,
     record_mission,
 )
+from repro.verify import golden
 
 
 def _tiny_missions() -> dict[str, CoSimConfig]:
@@ -146,17 +148,33 @@ class TestDriftDetection:
         assert "obs" in failure.detail
         assert "rose_sync_steps_total" in failure.divergence.field
 
-    def test_record_without_obs_snapshot_tolerated(self, corpus_dir, tmp_path):
-        # Records captured before the observability layer carry no obs
-        # key; the checker compares only the signature for them.
-        work = tmp_path / "pre-obs"
+    def test_record_without_obs_snapshot_refused(self, corpus_dir, tmp_path):
+        # A record with no obs key could not catch telemetry drift, so
+        # loading it fails and the check reports the record unreadable.
+        data = json.loads((corpus_dir / "unit-a.json").read_text())
+        data.pop("obs")
+        with pytest.raises(ValueError, match="no obs snapshot"):
+            GoldenRecord.from_json(json.dumps(data))
+        work = tmp_path / "no-obs"
         work.mkdir()
         for path in corpus_dir.glob("*.json"):
-            data = json.loads(path.read_text())
-            data.pop("obs", None)
-            (work / path.name).write_text(json.dumps(data))
+            (work / path.name).write_text(path.read_text())
+        (work / "unit-a.json").write_text(json.dumps(data))
         report = check_corpus(work, missions=_tiny_missions())
-        assert report.ok
+        failure = next(c for c in report.checks if c.name == "unit-a")
+        assert failure.status == "drift"
+        assert "unreadable" in failure.detail and "no obs snapshot" in failure.detail
+
+    def test_replay_without_obs_snapshot_is_drift(self, corpus_dir, monkeypatch):
+        # Same signature, but the replayed result lost its FlightRecord:
+        # the telemetry comparison cannot be skipped.
+        def without_obs(config):
+            return replace(run_mission(config), obs=None)
+
+        monkeypatch.setattr(golden, "run_mission", without_obs)
+        report = check_corpus(corpus_dir, missions=_tiny_missions())
+        assert [c.status for c in report.checks] == ["drift", "drift"]
+        assert all("no obs snapshot" in c.detail for c in report.checks)
 
 
 class TestRecordContents:
@@ -181,6 +199,15 @@ class TestRecordContents:
         assert steps > 0
         again = GoldenRecord.from_json(record.to_json())
         assert again.obs == json.loads(json.dumps(record.obs))
+
+    def test_record_mission_refuses_result_without_obs(self, monkeypatch):
+        def without_obs(config):
+            return replace(run_mission(config), obs=None)
+
+        monkeypatch.setattr(golden, "run_mission", without_obs)
+        config = CoSimConfig(world="tunnel", model="resnet6", max_sim_time=1.0)
+        with pytest.raises(ValueError, match="no obs snapshot"):
+            record_mission("unit", config)
 
 
 class TestCommittedCorpus:
