@@ -20,9 +20,7 @@ from repro.analysis.lint.engine import Module, ProjectModel
 from repro.analysis.lint.registry import rule
 
 #: Registry methods whose first positional argument is a metric name.
-_RECORD_ATTRS = {
-    "inc", "set", "observe", "value", "total", "advance_to", "series_count", "bind"
-}
+_RECORD_ATTRS = {"inc", "set", "observe", "value", "total", "advance_to", "series_count"}
 
 #: Project metric names all share this prefix (Prometheus-style).
 _METRIC_PREFIX = "rose_"

@@ -22,6 +22,7 @@ Sign conventions (Equation 2 maps onto the simulator's frames):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,14 +106,15 @@ class AppStats:
     """Application-side telemetry shared with the host experiment.
 
     ``records`` measure the image-request -> DNN-output latency in target
-    cycles — the quantity Figure 16(c) plots.  Every field is a plain
-    count; the mission runner publishes them as the ``rose_app_*``
-    series when it collects the result.
+    cycles — the quantity Figure 16(c) plots — and are the one count of
+    inferences: ``inference_count`` and ``inferences_by_model`` are read
+    from them.  Every other field is a plain count; the mission runner
+    publishes them as the ``rose_app_*`` series when it collects the
+    result.
     """
 
     records: list[InferenceRecord] = field(default_factory=list)
     session_switches: int = 0
-    inferences_by_model: dict[str, int] = field(default_factory=dict)
     # -- degradation telemetry (all zero on a healthy link) --------------
     #: Sensor waits that expired.
     sensor_timeouts: int = 0
@@ -131,6 +133,11 @@ class AppStats:
     def inference_count(self) -> int:
         return len(self.records)
 
+    @property
+    def inferences_by_model(self) -> dict[str, int]:
+        """Inferences per model, in order of each model's first one."""
+        return dict(Counter(record.model for record in self.records))
+
     def latency_cycles(self) -> list[int]:
         return [r.latency_cycles for r in self.records]
 
@@ -142,7 +149,6 @@ class AppStats:
 
     def record(self, request_cycle: int, response_cycle: int, model: str) -> None:
         self.records.append(InferenceRecord(request_cycle, response_cycle, model))
-        self.inferences_by_model[model] = self.inferences_by_model.get(model, 0) + 1
 
 
 def trail_navigation_app(

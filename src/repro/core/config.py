@@ -36,8 +36,9 @@ class SyncConfig:
     link: ``sync_done_timeout_s`` is the wall-clock watchdog on one sync
     step, ``regrant_timeout_s`` how long a remote host may stay silent
     before the grant is re-issued, ``max_regrants`` how many re-issues are
-    attempted before the watchdog ends the mission, and ``recv_timeout_s``
-    the deadline for blocking single-packet receives.
+    attempted before the watchdog ends the mission.  Nothing reads
+    ``recv_timeout_s``; it stays only because ``config_to_dict`` hashes it
+    into every config key, so removing it would change every key.
     """
 
     cycles_per_sync: int = 10_000_000

@@ -443,12 +443,20 @@ class CoSimulation:
         from repro.sweep.fingerprint import config_key
 
         env = self.env
+        sync = self.synchronizer.stats
         # The synchronizer only sees its own endpoint's decode discards;
         # corrupted sensor responses die at the FireSim end.  Fold both
         # ends into the mission-level count.
-        self.synchronizer.stats.corrupt_discards = getattr(
+        sync.corrupt_discards = getattr(
             self.synchronizer.transport, "corrupt_packets", 0
         ) + getattr(self.host.transport, "corrupt_packets", 0)
+        # The injector counts every wire fault, the shutdown frame's too.
+        injector = self.fault_injector
+        if injector is not None:
+            sync.packets_dropped = injector.total("drop")
+            sync.packets_corrupted = injector.total("corrupt")
+            sync.packets_duplicated = injector.total("duplicate")
+            sync.packets_delayed = injector.total("delay")
         completed = env.mission_complete
         mission_time = env.mission_time
         if completed and mission_time and mission_time > 0:
@@ -483,7 +491,7 @@ class CoSimulation:
             slam_stats=self.slam_stats,
             background_stats=self.background_stats,
             monitor_stats=self.monitor_stats,
-            sync_stats=self.synchronizer.stats,
+            sync_stats=sync,
             logger=self.logger,
             stage_timings=self.stage_timer.asdict(),
         )
@@ -587,7 +595,7 @@ class CoSimulation:
         soc = self.soc
         obs.advance_to("rose_soc_cycles_total", soc.cycle)
         obs.advance_to("rose_soc_cpu_busy_cycles_total", soc.counters.cpu_busy_cycles)
-        obs.advance_to("rose_soc_idle_cycles_total", soc.counters.idle_cycles)
+        obs.advance_to("rose_soc_idle_cycles_total", soc.idle_cycles)
         obs.advance_to("rose_soc_gemmini_busy_cycles_total", soc.gemmini_busy_cycles)
         obs.advance_to("rose_soc_mmio_total", soc.counters.mmio_reads, op="read")
         obs.advance_to("rose_soc_mmio_total", soc.counters.mmio_writes, op="write")

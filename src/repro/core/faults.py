@@ -11,9 +11,10 @@ description of such faults and the machinery that injects them:
   e.g. "drop every CAMERA_RESP in steps 40-60"), and sensor faults
   (stuck-value IMU, blacked-out camera) applied at the synchronizer.
 * :class:`FaultInjector` — the per-run mutable state: a seeded RNG, the
-  current synchronization step, and :class:`FaultCounters`.  The same plan
-  and seed reproduce byte-identical fault decisions across runs, because
-  the packet stream itself is deterministic.
+  current synchronization step, and the one count of every wire fault it
+  injected.  The same plan and seed reproduce byte-identical fault
+  decisions across runs, because the packet stream itself is
+  deterministic.
 
 Wire faults are applied by :class:`repro.core.transport.FaultyTransport`,
 which consults the injector on every ``send``; sensor faults are applied
@@ -209,21 +210,6 @@ def load_fault_plan(spec: str) -> FaultPlan:
         raise ConfigError(f"cannot read fault plan file {spec!r}: {exc}") from exc
 
 
-@dataclass
-class FaultCounters:
-    """Injection counters (what the plan actually did to this run)."""
-
-    dropped: int = 0
-    corrupted: int = 0
-    duplicated: int = 0
-    delayed: int = 0
-    stuck_imu: int = 0
-    camera_blackout: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(asdict(self))
-
-
 @dataclass(frozen=True)
 class FaultDecision:
     """What to do with one outbound packet."""
@@ -238,16 +224,18 @@ _NO_FAULT = FaultDecision()
 
 
 class FaultInjector:
-    """Per-run fault state: seeded RNG, current step, counters.
+    """Per-run fault state: seeded RNG, current step, injection counts.
 
     One injector is shared by every :class:`FaultyTransport` wrapper and
     the synchronizer of a run, so the RNG is consumed in the (deterministic)
-    order packets cross the link.
+    order packets cross the link.  :attr:`injected` is the one count of
+    the link's wire faults; every fault total is read from it
+    (:meth:`total`).  Sensor faults are counted where they are served, in
+    ``SyncStats.sensor_faults``.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.counters = FaultCounters()
         self.step = 0
         self._rng = random.Random(plan.seed)
         self._rules = {rule.ptype: rule for rule in plan.rules}
@@ -262,6 +250,11 @@ class FaultInjector:
     def _record(self, kind: str, ptype: PacketType) -> None:
         key = (kind, ptype)
         self.injected[key] = self.injected.get(key, 0) + 1
+
+    def total(self, kind: str) -> int:
+        """Injections of one ``kind`` (``drop``/``corrupt``/``duplicate``/
+        ``delay``) over every packet type so far."""
+        return sum(count for (k, _), count in self.injected.items() if k == kind)
 
     def begin_step(self, step_index: int) -> None:
         """Advance the injector's notion of the current sync step."""
@@ -288,7 +281,6 @@ class FaultInjector:
     def decide(self, ptype: PacketType) -> FaultDecision:
         """Decide this packet's fate; consumes RNG only for matching rules."""
         if self._scheduled_active("drop", ptype):
-            self.counters.dropped += 1
             self._record("drop", ptype)
             return FaultDecision(drop=True)
         corrupt = self._scheduled_active("corrupt", ptype)
@@ -297,7 +289,6 @@ class FaultInjector:
         delay_steps = 0
         if rule is not None:
             if rule.drop and self._rng.random() < rule.drop:
-                self.counters.dropped += 1
                 self._record("drop", ptype)
                 return FaultDecision(drop=True)
             if not corrupt and rule.corrupt:
@@ -309,13 +300,10 @@ class FaultInjector:
         if not (corrupt or duplicate or delay_steps):
             return _NO_FAULT
         if corrupt:
-            self.counters.corrupted += 1
             self._record("corrupt", ptype)
         if duplicate:
-            self.counters.duplicated += 1
             self._record("duplicate", ptype)
         if delay_steps:
-            self.counters.delayed += 1
             self._record("delay", ptype)
         return FaultDecision(
             corrupt=corrupt, duplicate=duplicate, delay_steps=delay_steps

@@ -275,16 +275,15 @@ class InvariantChecker:
                     "injector configured",
                 )
             return
-        counters = self._injector.counters
+        corrupted = self._injector.total("corrupt")
+        duplicated = self._injector.total("duplicate")
         # A corrupted frame that is also duplicated is discarded twice, so
         # the safe upper bound admits one extra discard per duplication.
-        budget = counters.corrupted + counters.duplicated
-        if discards > budget:
+        if discards > corrupted + duplicated:
             self._fail(
                 "crc-accounting",
                 f"{discards} frame(s) discarded on decode but the injector "
-                f"only corrupted {counters.corrupted} "
-                f"(+{counters.duplicated} duplicated)",
+                f"only corrupted {corrupted} (+{duplicated} duplicated)",
             )
 
     def on_injector_step(self, previous: int, current: int) -> None:

@@ -93,27 +93,27 @@ class StepRecord(TypedDict):
     mission_complete: bool
 
 
+def _dispatched(ptype: PacketType) -> property:
+    """A :class:`SyncStats` count: SoC packets of ``ptype`` dispatched."""
+    key = ("from_rtl", ptype)
+    return property(lambda stats: stats.link_packets.get(key, 0))
+
+
 @dataclass
 class SyncStats:
     """Counters across one mission, kept as plain fields.
 
-    The synchronizer counts here while the mission flies; the mission
-    runner publishes them as the ``rose_sync_*`` and ``rose_link_*``
-    series when it collects the result (the registry is written nowhere
-    else).  The fault/resilience columns (``packets_dropped`` …
-    ``sensor_faults``) also feed ``fault_summary()``, part of the
-    canonical mission payload, so they stay ``int``.
+    Each event is counted once: a packet in :attr:`link_packets` (the
+    per-direction and per-type packet counts are read from it), a wire
+    fault by the fault injector, whose totals the mission runner writes
+    here when it collects the result and publishes these counts as the
+    ``rose_sync_*`` and ``rose_link_*`` series.  The fault/resilience
+    columns (``packets_dropped`` … ``sensor_faults``) also feed
+    ``fault_summary()``, part of the canonical mission payload, so they
+    stay ``int``.
     """
 
     steps: int = 0
-    packets_from_rtl: int = 0
-    packets_to_rtl: int = 0
-    camera_requests: int = 0
-    imu_requests: int = 0
-    depth_requests: int = 0
-    lidar_requests: int = 0
-    state_requests: int = 0
-    target_commands: int = 0
     last_target: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     #: (sim_time of request) per camera request — latency studies read this.
     camera_request_times: list[float] = field(default_factory=list)
@@ -128,8 +128,8 @@ class SyncStats:
     #: frames sent, ``from_rtl`` the SoC packets dispatched.  SYNC_GRANTs
     #: are counted in ``sync_grants`` and SYNC_DONEs are not counted here.
     link_packets: dict[tuple[str, PacketType], int] = field(default_factory=dict)
-    #: The fault injector's drop/corrupt/duplicate/delay counters as of
-    #: the end of the last step (mirrored every step under a fault plan).
+    #: The fault injector's drop/corrupt/duplicate/delay totals, written
+    #: when the mission is collected.
     packets_dropped: int = 0
     packets_corrupted: int = 0
     packets_duplicated: int = 0
@@ -143,6 +143,26 @@ class SyncStats:
     stale_sync_done: int = 0
     #: Stuck-IMU / camera-blackout responses served.
     sensor_faults: int = 0
+
+    camera_requests = _dispatched(_CAMERA_REQ)
+    imu_requests = _dispatched(_IMU_REQ)
+    depth_requests = _dispatched(_DEPTH_REQ)
+    lidar_requests = _dispatched(_LIDAR_REQ)
+    state_requests = _dispatched(_STATE_REQ)
+    target_commands = _dispatched(_TARGET_CMD)
+
+    @property
+    def packets_from_rtl(self) -> int:
+        """SoC packets dispatched."""
+        return sum(n for (way, _), n in self.link_packets.items() if way == "from_rtl")
+
+    @property
+    def packets_to_rtl(self) -> int:
+        """Sensor responses sent toward the SoC (control frames excluded)."""
+        return sum(
+            n for (way, ptype), n in self.link_packets.items()
+            if way == "to_rtl" and ptype in DATA_TYPES
+        )
 
     def fault_summary(self) -> dict[str, int]:
         """The resilience counters as one dict (reporting/determinism checks)."""
@@ -263,7 +283,6 @@ class Synchronizer:
 
     def _dispatch_rtl_packet(self, packet: DataPacket) -> None:
         """Translate one SoC I/O packet into environment API calls."""
-        self.stats.packets_from_rtl += 1
         ptype = packet.ptype
         self._count_packet("from_rtl", ptype)
         if self.tracer is not None:
@@ -271,13 +290,11 @@ class Synchronizer:
                 ptype.name, "packet-from-rtl", self.sim_time, track="io"
             )
         if ptype == _CAMERA_REQ:
-            self.stats.camera_requests += 1
             self.stats.camera_request_times.append(self.sim_time)
             image = self.rpc.get_camera_image()
             if self.faults is not None and self.faults.camera_blackout_active():
                 # Blacked-out sensor: no pixels, no usable pose metadata —
                 # the controller sees a frame that says "centered".
-                self.faults.counters.camera_blackout += 1
                 self.stats.sensor_faults += 1
                 image = dict(
                     image,
@@ -297,11 +314,9 @@ class Synchronizer:
                 )
             )
         elif ptype == _IMU_REQ:
-            self.stats.imu_requests += 1
             imu = self.rpc.get_imu()
             if self.faults is not None and self.faults.stuck_imu_active():
                 # Stuck sensor: keep serving the last healthy reading.
-                self.faults.counters.stuck_imu += 1
                 self.stats.sensor_faults += 1
                 if self._last_imu is not None:
                     imu = self._last_imu
@@ -312,16 +327,13 @@ class Synchronizer:
                 )
             )
         elif ptype == _DEPTH_REQ:
-            self.stats.depth_requests += 1
             self._transmit(depth_response(self.rpc.get_depth()))
         elif ptype == _LIDAR_REQ:
-            self.stats.lidar_requests += 1
             scan = self.rpc.get_lidar()
             self._transmit(
                 lidar_response(scan["fov_rad"], scan["timestamp"], scan["ranges"])
             )
         elif ptype == _STATE_REQ:
-            self.stats.state_requests += 1
             st = self.rpc.get_state()
             self._transmit(
                 state_response(
@@ -330,7 +342,6 @@ class Synchronizer:
                 )
             )
         elif ptype == _TARGET_CMD:
-            self.stats.target_commands += 1
             v_forward, v_lateral, yaw_rate, altitude = packet.values
             self.stats.last_target = (v_forward, v_lateral, yaw_rate, altitude)
             self.rpc.send_velocity_target(v_forward, v_lateral, yaw_rate, altitude)
@@ -338,7 +349,6 @@ class Synchronizer:
             raise SyncError(f"unexpected packet from RTL: {ptype.name}")
 
     def _transmit(self, packet: DataPacket) -> None:
-        self.stats.packets_to_rtl += 1
         self._count_packet("to_rtl", packet.ptype)
         if self.tracer is not None:
             self.tracer.instant(
@@ -387,15 +397,10 @@ class Synchronizer:
             timer.add("env_step", wall_clock() - t0)
 
         # % Poll simulators until both finish %
-        try:
-            if by_call is None:
-                self._wait_for_sync_done(step_index)
-            else:
-                self._complete_by_call(step_index, *by_call)
-        finally:
-            # Mirror injector counters even when the watchdog aborts the
-            # step — the failure report must show what the link did.
-            self._update_fault_stats()
+        if by_call is None:
+            self._wait_for_sync_done(step_index)
+        else:
+            self._complete_by_call(step_index, *by_call)
 
         if self.tracer is not None:
             self.tracer.span(
@@ -416,14 +421,6 @@ class Synchronizer:
             env_seconds = timer.get("env_step") - env_before
             soc_seconds = timer.get("soc_step") - soc_before
             timer.add("sync_overhead", max(total - env_seconds - soc_seconds, 0.0))
-
-    def _update_fault_stats(self) -> None:
-        if self.faults is not None:
-            counters = self.faults.counters
-            self.stats.packets_dropped = counters.dropped
-            self.stats.packets_corrupted = counters.corrupted
-            self.stats.packets_duplicated = counters.duplicated
-            self.stats.packets_delayed = counters.delayed
 
     def _regrant(self, step_index: int, regrants: int) -> int:
         """Watchdog retry: re-issue the grant for a step that went silent."""
@@ -553,9 +550,11 @@ class Synchronizer:
 
     def _log_row(self, record: StepRecord) -> SyncLogRow:
         """This step's CSV row, from the advance's record (no RPC)."""
-        target = self.stats.last_target
+        stats = self.stats
+        target = stats.last_target
+        faults = self.faults
         return SyncLogRow(
-            step=self.stats.steps,
+            step=stats.steps,
             sim_time=self.sim_time,
             x=record["x"],
             y=record["y"],
@@ -565,15 +564,15 @@ class Synchronizer:
             course_s=record["s"],
             course_d=record["d"],
             collisions=record["collisions"],
-            camera_requests=self.stats.camera_requests,
-            imu_requests=self.stats.imu_requests,
-            depth_requests=self.stats.depth_requests,
+            camera_requests=stats.camera_requests,
+            imu_requests=stats.imu_requests,
+            depth_requests=stats.depth_requests,
             target_v_forward=target[0],
             target_v_lateral=target[1],
             target_yaw_rate=target[2],
-            packets_dropped=self.stats.packets_dropped,
-            packets_corrupted=self.stats.packets_corrupted,
-            retries=self.stats.sync_regrants,
+            packets_dropped=faults.total("drop") if faults is not None else 0,
+            packets_corrupted=faults.total("corrupt") if faults is not None else 0,
+            retries=stats.sync_regrants,
         )
 
     # ------------------------------------------------------------------

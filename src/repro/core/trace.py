@@ -29,10 +29,9 @@ class TraceEvent:
 
 
 class Tracer:
-    """Append-only event recorder."""
+    """Append-only event recorder (pass no tracer to record nothing)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
     def instant(
@@ -43,8 +42,6 @@ class Tracer:
         track: str = "synchronizer",
         **args: object,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent(name=name, category=category, start_s=at_s, track=track, args=args)
         )
@@ -58,8 +55,6 @@ class Tracer:
         track: str = "synchronizer",
         **args: object,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent(
                 name=name,

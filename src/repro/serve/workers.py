@@ -25,7 +25,6 @@ from typing import Callable
 from repro.serve.jobs import JobParams
 from repro.serve.scheduler import Assignment, Scheduler
 from repro.sweep.cache import ResultCache
-from repro.sweep.fingerprint import config_key
 from repro.sweep.resilience import RetryPolicy
 from repro.sweep.runner import SweepRunner
 
@@ -91,7 +90,8 @@ class ShardWorker:
         # Renew the lease before the report loop: execution was the slow
         # part, and a completion storm should not race its own deadline.
         self.scheduler.heartbeat(self.worker_id, assignment.claim_id)
-        for outcome in report.outcomes:
+        # Outcomes keep task order, so each one's key is already in hand.
+        for key, outcome in zip(assignment.keys, report.outcomes, strict=True):
             if self.abort is not None and self.abort():
                 return  # died mid-report; unreported tasks get stolen
             self.scheduler.complete(
@@ -99,7 +99,7 @@ class ShardWorker:
                 job_id=assignment.job_id,
                 claim_id=assignment.claim_id,
                 name=outcome.name,
-                key=config_key(outcome.config),
+                key=key,
                 state=outcome.state,
                 attempts=outcome.attempts,
                 failure=(

@@ -41,12 +41,14 @@ _WRITABLE = {REG_TX_DATA}
 
 
 class RoseIoDevice:
-    """Register-window adapter between the SoC core and the bridge."""
+    """Register-window adapter between the SoC core and the bridge.
+
+    It keeps no access counts: the SoC engine counts each MMIO op once,
+    in :class:`~repro.soc.soc.SocCounters`.
+    """
 
     def __init__(self, bridge: RoseBridge):
         self.bridge = bridge
-        self.reads = 0
-        self.writes = 0
         self._cycle_source = lambda: 0
 
     def attach_cycle_source(self, fn) -> None:
@@ -56,7 +58,6 @@ class RoseIoDevice:
     def read(self, reg: int):
         if reg not in _READABLE:
             raise TargetProgramError(f"read of non-readable RoSE register 0x{reg:02x}")
-        self.reads += 1
         if reg == REG_RX_COUNT:
             return self.bridge.target_rx_count()
         if reg == REG_RX_SIZE:
@@ -80,5 +81,4 @@ class RoseIoDevice:
             raise TargetProgramError(
                 f"TX_DATA expects a DataPacket, got {type(value).__name__}"
             )
-        self.writes += 1
         self.bridge.target_tx_push(value)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.packets import DataPacket, PacketType
-from repro.errors import TargetProgramError
 from repro.soc import calib
 from repro.soc.iodev import (
     REG_CYCLE,
@@ -45,25 +44,17 @@ from repro.soc.iodev import (
 #: Type alias for readability: a target program is a generator of ops.
 TargetProgram = Generator
 
+#: Cap on the receive loop's doubling poll interval, in cycles.
+MAX_POLL_INTERVAL_CYCLES = 1_000_000
+
 
 class TargetRuntime:
     """Helper library available to target programs.
 
-    Stateless apart from configuration; all state lives in the SoC engine
-    that interprets the yielded ops.
+    Stateless; all state lives in the SoC engine that interprets the
+    yielded ops.  Polls start every ``calib.TARGET_POLL_INTERVAL_CYCLES``
+    and back off to :data:`MAX_POLL_INTERVAL_CYCLES`.
     """
-
-    def __init__(
-        self,
-        poll_interval_cycles: int = calib.TARGET_POLL_INTERVAL_CYCLES,
-        max_poll_interval_cycles: int = 1_000_000,
-    ):
-        if poll_interval_cycles <= 0:
-            raise TargetProgramError("poll interval must be positive")
-        if max_poll_interval_cycles < poll_interval_cycles:
-            raise TargetProgramError("max poll interval below initial interval")
-        self.poll_interval_cycles = poll_interval_cycles
-        self.max_poll_interval_cycles = max_poll_interval_cycles
 
     # -- primitives ------------------------------------------------------
     def delay(self, cycles: int):
@@ -96,7 +87,7 @@ class TargetRuntime:
         host-side simulation work during long stalls.
         """
         waited = 0
-        interval = self.poll_interval_cycles
+        interval = calib.TARGET_POLL_INTERVAL_CYCLES
         while True:
             count = yield from self.mmio_read(REG_RX_COUNT)
             if count > 0:
@@ -108,7 +99,7 @@ class TargetRuntime:
                 return None
             yield ("delay", interval)
             waited += interval
-            interval = min(interval * 2, self.max_poll_interval_cycles)
+            interval = min(interval * 2, MAX_POLL_INTERVAL_CYCLES)
 
     def recv_packet_of(self, ptype: PacketType, timeout_cycles: int | None = None):
         """Receive until a packet of ``ptype`` arrives, discarding others."""
@@ -123,7 +114,7 @@ class TargetRuntime:
             space = yield from self.mmio_read(REG_TX_SPACE)
             if space >= packet.payload_bytes:
                 break
-            yield ("delay", self.poll_interval_cycles)
+            yield ("delay", calib.TARGET_POLL_INTERVAL_CYCLES)
         yield ("mmio_write", REG_TX_DATA, packet)
 
     def request_response(

@@ -71,13 +71,14 @@ def soc_config(name: str) -> SocConfig:
 
 @dataclass
 class SocCounters:
-    """Aggregate activity counters for one SoC instance."""
+    """Aggregate activity counters for one SoC instance: each op counted
+    once, when the engine fetches it (idle cycles are derived, see
+    :attr:`Soc.idle_cycles`)."""
 
     mmio_reads: int = 0
     mmio_writes: int = 0
     inferences: int = 0
     cpu_busy_cycles: int = 0
-    idle_cycles: int = 0
 
 
 @dataclass
@@ -162,6 +163,11 @@ class Soc:
     @property
     def gemmini_busy_cycles(self) -> int:
         return int(self._gemmini_busy) if self.gemmini else 0
+
+    @property
+    def idle_cycles(self) -> int:
+        """Elapsed cycles with no op on the core."""
+        return self.cycle - self.counters.cpu_busy_cycles
 
     @property
     def activity_factor(self) -> float:
@@ -305,5 +311,4 @@ class Soc:
                 if advance <= 0:
                     break
                 self.cycle += advance
-                self.counters.idle_cycles += advance
         return budget

@@ -212,15 +212,15 @@ def _seed_worker(key: str) -> None:
 
 
 def _execute_task(
-    item: tuple[str, CoSimConfig, int]
+    item: tuple[str, CoSimConfig, str, int]
 ) -> tuple[str, MissionResult, float]:
     """Run one mission attempt (identical for serial and pooled execution).
 
+    ``item`` carries the config's key, taken once by :meth:`SweepRunner.run`.
     The chaos hook fires *before* the mission and draws nothing from any
     RNG stream, so an injected-and-retried task replays bit-identically.
     """
-    name, config, attempt = item
-    key = config_key(config)
+    name, config, key, attempt = item
     _seed_worker(key)
     chaos.maybe_inject(key, attempt)
     t0 = perf_counter()
@@ -642,7 +642,9 @@ class SweepRunner:
         for pending in misses:
             current: _Pending | None = pending
             while current is not None:
-                item = (current.task.name, current.task.config, current.attempt)
+                item = (
+                    current.task.name, current.task.config, current.key, current.attempt
+                )
                 try:
                     _, result, seconds = _execute_task(item)
                 except Exception as exc:  # noqa: BLE001 - taxonomy, not policy
@@ -741,7 +743,9 @@ class SweepRunner:
                 # Dispatch every ready task into a free slot.
                 while queue and len(inflight) < workers and queue[0].ready_at <= now:
                     pending = queue.pop(0)
-                    item = (pending.task.name, pending.task.config, pending.attempt)
+                    item = (
+                        pending.task.name, pending.task.config, pending.key, pending.attempt
+                    )
                     try:
                         future = pool.submit(_execute_task, item)
                     except BrokenProcessPool:

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.config import CoSimConfig
-from repro.core.cosim import MissionResult, run_mission
+from repro.core.cosim import CoSimulation, MissionResult, run_mission
 from repro.core.faults import FaultPlan
 from repro.dnn import layers as opt
 from repro.dnn import reference as ref
@@ -748,22 +748,23 @@ def _series_sum(snapshot: dict[str, Any], name: str, **labels: str) -> int | flo
 
 @oracle(
     "obs-snapshot",
-    "flight-recorder metrics vs. the legacy stats counters they shadow "
-    "(independently recorded, must agree exactly) plus replay determinism",
+    "flight-recorder metrics: conservation between counts kept by different "
+    "layers (synchronizer, fault injector, FireSim host, bridge queues, SoC "
+    "engine, app) plus replay determinism",
 )
 def _oracle_obs_snapshot() -> list[Divergence]:
     out: list[Divergence] = []
-    cfg = _tiny_config(seed=5, faults=FaultPlan.sensor_response_drop(0.2, seed=3))
-    result = run_mission(cfg)
-    if result.obs is None:
-        return [
-            Divergence(
-                site="obs-snapshot",
-                field="obs",
-                expected="a FlightRecord on the mission result",
-                actual="<none>",
-            )
-        ]
+    # The invariant checker would stop the mission at the first book that
+    # does not balance; this oracle is the witness that reads the books
+    # only once they are published, so it flies without the checker.
+    cfg = _tiny_config(
+        seed=5,
+        faults=FaultPlan.sensor_response_drop(0.2, seed=3),
+        check_invariants=False,
+    )
+    sim = CoSimulation(cfg)
+    result = sim.run()
+    assert result.obs is not None, "a collected mission carries a FlightRecord"
     snap = result.obs.metrics
 
     def check(field: str, expected: Any, actual: Any) -> None:
@@ -777,53 +778,47 @@ def _oracle_obs_snapshot() -> list[Divergence]:
                 )
             )
 
-    stats = result.sync_stats
-    assert stats is not None
-    check("steps", stats.steps, _series_sum(snap, "rose_sync_steps_total"))
-    # stats.packets_to_rtl counts only data packets (_transmit); the link
-    # counter also sees SYNC_GRANT/SYNC_SET_STEPS/SYNC_SHUTDOWN control
-    # traffic, so exclude SYNC_* series from the comparison.
-    data_to_rtl = sum(
+    def bridge(queue: str, event: str) -> int | float:
+        return _series_sum(snap, "rose_bridge_packets_total", queue=queue, event=event)
+
+    # The synchronizer counts the steps it completed, the bridge the steps
+    # the host granted it, and the SoC the cycles it ran.
+    steps = _series_sum(snap, "rose_sync_steps_total")
+    check("steps_granted", steps, _series_sum(snap, "rose_bridge_steps_granted_total"))
+    check(
+        "soc_cycles",
+        steps * cfg.sync.cycles_per_sync,
+        _series_sum(snap, "rose_soc_cycles_total"),
+    )
+    # Each response the synchronizer sent and the injector did not drop
+    # (the plan only drops responses) entered the RX queue or waits at
+    # the host; SYNC_* control frames never reach the queues.
+    responses_sent = sum(
         row["value"]
-        for row in snap.get("rose_link_packets_total", {}).get("series", [])
+        for row in snap["rose_link_packets_total"]["series"]
         if row["labels"]["direction"] == "to_rtl"
         and not row["labels"]["ptype"].startswith("SYNC_")
     )
-    check("packets_to_rtl", stats.packets_to_rtl, data_to_rtl)
     check(
-        "packets_from_rtl",
-        stats.packets_from_rtl,
-        _series_sum(snap, "rose_link_packets_total", direction="from_rtl"),
+        "rx_enqueued",
+        responses_sent - _series_sum(snap, "rose_faults_injected_total", kind="drop"),
+        bridge("rx", "enqueued") + len(sim.host._deferred_inject),
     )
-    # The fault injector records rose_faults_injected_total at its own
-    # decision sites; the synchronizer records rose_link_faults_total when
-    # it applies each verdict.  Two independent recorders, one event.
-    for kind in ("drop", "corrupt", "duplicate", "delay"):
-        check(
-            f"faults[{kind}]",
-            _series_sum(snap, "rose_link_faults_total", kind=kind),
-            _series_sum(snap, "rose_faults_injected_total", kind=kind),
-        )
-
-    app = result.app_stats
-    assert app is not None
+    # Each packet the host took off the TX queue was dispatched, or is
+    # still pending at the synchronizer when the mission ends.
     check(
-        "inference_count",
-        app.inference_count,
-        _series_sum(snap, "rose_app_inferences_total"),
+        "tx_dequeued",
+        bridge("tx", "dequeued"),
+        _series_sum(snap, "rose_link_packets_total", direction="from_rtl")
+        + len(sim.synchronizer._pending_rtl),
     )
-    latency = snap.get("rose_app_inference_latency_cycles", {})
-    check(
-        "inference_latency.count",
-        app.inference_count,
-        sum(row["count"] for row in latency.get("series", [])),
-    )
-    check("soc_cycles", result.soc_cycles, _series_sum(snap, "rose_soc_cycles_total"))
-    check(
-        "collisions",
-        result.collisions,
-        _series_sum(snap, "rose_mission_collisions_total"),
-    )
+    # The SoC engine counts an inference when it starts it and the app
+    # when it records the result: each loaded task may have one in flight.
+    app_inferences = _series_sum(snap, "rose_app_inferences_total")
+    soc_inferences = _series_sum(snap, "rose_soc_inferences_total")
+    in_flight = soc_inferences - app_inferences
+    if not 0 <= in_flight <= len(sim.soc.tasks):
+        check("inferences_in_flight", f"0..{len(sim.soc.tasks)}", in_flight)
 
     # Replay determinism: an identical second run must produce a
     # byte-identical snapshot (sorted keys, fixed buckets — no slack).

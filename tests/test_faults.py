@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import packets as pk
 from repro.core.config import CoSimConfig, SyncConfig
-from repro.core.cosim import run_mission
+from repro.core.cosim import CoSimulation, run_mission
 from repro.core.csvlog import SyncLogger
 from repro.core.faults import (
     SENSOR_RESPONSE_TYPES,
@@ -118,13 +118,13 @@ class TestFaultInjector:
         a, b = injector(rule, seed=42), injector(rule, seed=42)
         for _ in range(200):
             assert a.decide(PacketType.IMU_RESP) == b.decide(PacketType.IMU_RESP)
-        assert a.counters.as_dict() == b.counters.as_dict()
+        assert a.injected == b.injected
 
     def test_certain_drop(self):
         inj = injector(FaultRule(PacketType.DEPTH_RESP, drop=1.0))
         assert inj.decide(PacketType.DEPTH_RESP).drop
         assert not inj.decide(PacketType.CAMERA_RESP).drop  # other types untouched
-        assert inj.counters.dropped == 1
+        assert inj.injected == {("drop", PacketType.DEPTH_RESP): 1}
 
     def test_scheduled_drop_window(self):
         inj = injector(
@@ -273,7 +273,7 @@ class TestFaultyTransport:
         a, b = self.wrap(inj)
         a.send(pk.depth_response(1.0))
         assert b.recv() is None
-        assert inj.counters.dropped == 1
+        assert inj.total("drop") == 1
         assert a.packets_sent == 0  # never reached the wire
 
     def test_corrupt_discarded_by_receiver(self):
@@ -282,14 +282,14 @@ class TestFaultyTransport:
         a.send(pk.depth_response(1.0))
         assert b.recv() is None
         assert b.corrupt_packets == 1
-        assert inj.counters.corrupted == 1
+        assert inj.total("corrupt") == 1
 
     def test_duplicate(self):
         inj = injector(FaultRule(PacketType.DEPTH_RESP, duplicate=1.0))
         a, b = self.wrap(inj)
         a.send(pk.depth_response(1.0))
         assert len(b.drain()) == 2
-        assert inj.counters.duplicated == 1
+        assert inj.total("duplicate") == 1
 
     def test_delay_released_after_steps(self):
         inj = injector(FaultRule(PacketType.DEPTH_RESP, delay=1.0, delay_steps=2))
@@ -305,7 +305,7 @@ class TestFaultyTransport:
         packet = b.recv()
         assert packet is not None and packet.values == (1.0,)
         assert a.pending_delayed == 0
-        assert inj.counters.delayed == 1
+        assert inj.total("delay") == 1
 
     def test_unfaulted_types_pass_through(self):
         inj = injector(FaultRule(PacketType.DEPTH_RESP, drop=1.0))
@@ -398,12 +398,21 @@ class TestWatchdog:
         assert host.duplicate_grants > 0
 
     def test_fault_counters_mirrored_into_stats(self):
-        inj = injector(FaultRule(PacketType.SYNC_DONE, drop=0.5), seed=5)
-        _, _, sync = build_sync(idle_program, faults=inj)
-        sync.configure()
-        for _ in range(10):
-            sync.step()
-        assert sync.stats.packets_dropped == inj.counters.dropped > 0
+        # The injector counts each fault; collecting the mission copies its
+        # totals into the stats once, the shutdown frame's drop included.
+        plan = FaultPlan(
+            seed=5,
+            rules=(
+                FaultRule(PacketType.SYNC_DONE, drop=0.5),
+                FaultRule(PacketType.SYNC_SHUTDOWN, drop=1.0),
+            ),
+        )
+        sim = CoSimulation(small_config(faults=plan))
+        stats = sim.run().sync_stats
+        inj = sim.fault_injector
+        assert inj.injected[("drop", PacketType.SYNC_SHUTDOWN)] == 1
+        assert stats.packets_dropped == inj.total("drop") > 1
+        assert stats.fault_summary()["packets_dropped"] == stats.packets_dropped
 
 
 class TestSensorFaults:
@@ -425,7 +434,6 @@ class TestSensorFaults:
             sync.step()
         assert len(readings) == 2
         assert readings[0] == readings[1]  # timestamp frozen: stuck sensor
-        assert inj.counters.stuck_imu >= 1
         assert sync.stats.sensor_faults >= 1
 
     def test_camera_blackout_zeroes_frame(self):
@@ -445,7 +453,7 @@ class TestSensorFaults:
         assert frames
         assert set(frames[0].raw) == {0}  # all-black pixels
         assert frames[0].values[3] == 0.0  # heading_error metadata gone too
-        assert inj.counters.camera_blackout >= 1
+        assert sync.stats.sensor_faults >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +467,7 @@ class TestCsvColumns:
         sync.configure()
         for _ in range(10):
             sync.step()
-        assert logger.rows[-1].packets_dropped == sync.stats.packets_dropped
+        assert logger.rows[-1].packets_dropped == inj.total("drop") > 0
         assert logger.rows[-1].retries == sync.stats.sync_regrants
 
     def test_pre_fault_csv_still_reads(self, tmp_path):

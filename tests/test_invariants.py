@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.config import CoSimConfig, SyncConfig
 from repro.core.cosim import CoSimulation, run_mission
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.invariants import InvariantChecker, invariants_enabled
+from repro.core.packets import PacketType
 from repro.errors import InvariantViolation
 from repro.sweep import mission_signature
 
@@ -161,12 +162,12 @@ class TestViolationsRaise:
         class FakeTransport:
             corrupt_packets = 5
 
-        class FakeInjector:
-            class counters:
-                corrupted = 1
-                duplicated = 1
-
-        checker.watch(transports=(FakeTransport(),), injector=FakeInjector())
+        injector = FaultInjector(FaultPlan())
+        injector.injected = {
+            ("corrupt", PacketType.CAMERA_RESP): 1,
+            ("duplicate", PacketType.CAMERA_RESP): 1,
+        }
+        checker.watch(transports=(FakeTransport(),), injector=injector)
         with pytest.raises(InvariantViolation, match="crc-accounting"):
             checker.check_link()
 

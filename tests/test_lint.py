@@ -569,12 +569,12 @@ class TestObs001DeclaredMetrics:
         assert active_rules(report) == ["OBS001"]
         assert "rose_sync_stepz_total" in report.active[0].message
 
-    def test_undeclared_name_bound_flagged(self, tmp_path):
+    def test_undeclared_name_advanced_flagged(self, tmp_path):
         make_tree(tmp_path, {
             "repro/obs/declarations.py": _DECLARATIONS_SOURCE,
             "repro/core/synchronizer.py": """
-                def bind_counters(registry):
-                    return registry.bind("rose_sync_stepz_total")
+                def publish(registry, stats):
+                    registry.advance_to("rose_sync_stepz_total", stats.steps)
             """,
         })
         report = run_lint(tmp_path, rules=["OBS001"])
@@ -587,7 +587,7 @@ class TestObs001DeclaredMetrics:
             "repro/core/synchronizer.py": """
                 def step(registry, stats):
                     registry.inc("rose_sync_steps_total")
-                    registry.bind("rose_sync_steps_total").inc()
+                    registry.advance_to("rose_sync_steps_total", stats.steps)
                     # name= keyword declarations count too:
                     registry.advance_to("rose_link_bytes_total", stats.total)
             """,

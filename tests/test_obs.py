@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, run_mission
 from repro.core.faults import FaultPlan
+from repro.core.packets import PacketType
 from repro.core.synchronizer import SyncStats
 from repro.errors import ConfigError
 from repro.obs import (
@@ -479,8 +480,9 @@ class TestStatsViews:
     def test_sync_stats_views_read_registry(self):
         cosim = CoSimulation(tiny_config(faults=FaultPlan()))
         stats = cosim.synchronizer.stats
-        stats.packets_dropped += 1
-        stats.packets_dropped += 1
+        # Wire faults are counted by the injector alone; collecting the
+        # mission copies its totals into the stats and the registry.
+        cosim.fault_injector.injected[("drop", PacketType.IMU_RESP)] = 2
         stats.sync_regrants += 1
         snap = published(cosim)
         assert stats.packets_dropped == 2

@@ -2,21 +2,26 @@
 
 The golden corpus pins every series its twelve missions write; these
 tests pin the publish rules it does not reach: which series exist at 0,
-which exist only under a fault plan, and that no mission component
+which exist only under a fault plan, that a fault is counted once
+whenever it happens, that the ``obs-snapshot`` oracle's cross-layer
+books catch a layer that miscounts, and that no mission component
 carries a live registry into the result (and so into the sweep cache).
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 
+from repro.core.bridge import RoseBridge
 from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, run_mission
 from repro.core.faults import FaultPlan, FaultRule
 from repro.core.packets import PacketType
 from repro.obs import MetricsRegistry
+from repro.verify.oracles import registered_oracles
 
 FAULT_KINDS = ["corrupt", "delay", "drop", "duplicate"]
 
@@ -93,6 +98,61 @@ class TestPublishRules:
         assert rows(result, "rose_sync_regrants_total") == [
             {"labels": {}, "value": result.config.sync.max_regrants}
         ]
+
+
+class TestOneCountPerFault:
+    def test_fault_after_the_last_step_is_counted_everywhere(self):
+        # The shutdown frame is sent after the last step; its drop reaches
+        # the fault summary and both fault series alike.
+        plan = FaultPlan(rules=(FaultRule(PacketType.SYNC_SHUTDOWN, drop=1.0),))
+        result = run_mission(tunnel(plan))
+        assert result.sync_stats.fault_summary()["packets_dropped"] == 1
+        link = [r for r in rows(result, "rose_link_faults_total") if r["labels"]["kind"] == "drop"]
+        injected = sum(
+            row["value"]
+            for row in rows(result, "rose_faults_injected_total")
+            if row["labels"]["kind"] == "drop"
+        )
+        assert [row["value"] for row in link] == [injected] == [1]
+
+
+def obs_snapshot_divergences() -> set[str]:
+    """Fields the ``obs-snapshot`` oracle reports as diverged."""
+    return {hit.field for hit in registered_oracles()["obs-snapshot"].run()}
+
+
+class TestObsSnapshotOracleMutants:
+    """Each mutant miscounts once in one layer; the oracle's conservation
+    books, read from the published snapshot, must notice."""
+
+    def test_clean_run_agrees(self):
+        assert obs_snapshot_divergences() == set()
+
+    def test_bridge_that_skips_one_rx_enqueue_count(self, monkeypatch):
+        host_inject = RoseBridge.host_inject
+        calls = itertools.count()
+
+        def mutant(bridge, packet):
+            accepted = host_inject(bridge, packet)
+            if accepted and next(calls) == 2:
+                bridge.counters.rx_enqueued -= 1
+            return accepted
+
+        monkeypatch.setattr(RoseBridge, "host_inject", mutant)
+        assert "rx_enqueued" in obs_snapshot_divergences()
+
+    def test_host_that_does_not_count_one_granted_step(self, monkeypatch):
+        grant_step = RoseBridge.grant_step
+        calls = itertools.count()
+
+        def mutant(bridge):
+            budget = grant_step(bridge)
+            if next(calls) == 5:
+                bridge.counters.steps_granted -= 1
+            return budget
+
+        monkeypatch.setattr(RoseBridge, "grant_step", mutant)
+        assert "steps_granted" in obs_snapshot_divergences()
 
 
 class TestNoLiveRegistry:

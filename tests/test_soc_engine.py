@@ -79,7 +79,7 @@ class TestExecution:
 
         soc = make_soc(program)
         soc.step(1000)
-        assert soc.counters.idle_cycles >= 900
+        assert soc.idle_cycles >= 900
 
     def test_op_spans_step_boundary(self):
         trace = []

@@ -103,9 +103,3 @@ class TestChromeExport:
     def test_empty_tracer_exports_valid_document(self):
         doc = json.loads(Tracer().to_chrome_trace())
         assert doc["traceEvents"] == []
-
-    def test_disabled_tracer_skips_everything(self):
-        tracer = Tracer(enabled=False)
-        tracer.span("step", "sync", 0.0, 0.1)
-        tracer.instant("done", "sync", 0.1)
-        assert len(tracer) == 0

@@ -29,12 +29,6 @@ class TestTracer:
         assert tracer.by_category("packet")[0].name == "CAMERA_REQ"
         assert tracer.by_category("sync")[0].duration_s == 0.01
 
-    def test_disabled_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.instant("x", "c", 0.0)
-        tracer.span("y", "c", 0.0, 1.0)
-        assert len(tracer) == 0
-
     def test_chrome_trace_schema(self):
         tracer = Tracer()
         tracer.span("sync-step 0", "sync", 0.0, 0.01)
