@@ -9,8 +9,6 @@ slip sideways; the drone corrects laterally and handles the narrow tunnel.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro import CoSimConfig, run_mission
 from repro.analysis.render import format_table
 

@@ -8,8 +8,6 @@ course without multiple collisions.
 
 from __future__ import annotations
 
-from statistics import mean
-
 from repro.analysis.figures import fig11_data
 from repro.analysis.render import format_table
 

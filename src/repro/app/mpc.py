@@ -76,14 +76,18 @@ class MpcSolution:
 class MpcStats:
     """Telemetry: the data-dependent runtime the experiments measure."""
 
-    solves: int = 0
-    total_iterations: int = 0
     iteration_history: list[int] = field(default_factory=list)
 
     def record(self, solution: MpcSolution) -> None:
-        self.solves += 1
-        self.total_iterations += solution.iterations
         self.iteration_history.append(solution.iterations)
+
+    @property
+    def solves(self) -> int:
+        return len(self.iteration_history)
+
+    @property
+    def total_iterations(self) -> int:
+        return sum(self.iteration_history)
 
     @property
     def mean_iterations(self) -> float:

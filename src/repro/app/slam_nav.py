@@ -45,16 +45,18 @@ class SlamNavConfig:
 class SlamNavStats:
     """Telemetry: localization quality + data-dependent compute."""
 
-    updates: int = 0
     pose_errors: list[float] = field(default_factory=list)
     iteration_history: list[int] = field(default_factory=list)
     total_flops: int = 0
 
     def record(self, pose_error: float, iterations: int, flops: int) -> None:
-        self.updates += 1
         self.pose_errors.append(pose_error)
         self.iteration_history.append(iterations)
         self.total_flops += flops
+
+    @property
+    def updates(self) -> int:
+        return len(self.pose_errors)
 
     @property
     def mean_pose_error(self) -> float:

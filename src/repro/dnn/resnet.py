@@ -29,7 +29,6 @@ from repro.dnn.layers import (
     Conv2d,
     BatchNorm2d,
     DualHead,
-    Flatten,
     GlobalAvgPool2d,
     MaxPool2d,
     Relu,

@@ -43,7 +43,7 @@ from repro.obs.aggregate import merge_snapshots
 from repro.obs.declarations import serve_registry, sweep_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.clock import Clock, SystemClock
-from repro.serve.jobs import Job, JobParams, JobStore
+from repro.serve.jobs import JobParams, JobStore
 from repro.serve.scheduler import Scheduler, SubmitTasks
 from repro.serve.workers import ShardWorker, ThreadedWorkerHost
 from repro.sweep.cache import ResultCache

@@ -21,6 +21,13 @@ Primitive operations (what the engine interprets):
 ``("inference", session)``
     run one DNN inference; costs the session's report cycles and resolves
     to the :class:`~repro.dnn.runtime.InferenceReport`.
+``("recv", timeout_cycles)``
+    wait for one RX packet and resolve to it, or to ``None`` once the
+    wait's backoff sleeps reach ``timeout_cycles`` (``None``: never).
+    The engine issues the wait's ``mmio_read`` and ``delay`` ops itself
+    (see :meth:`TargetRuntime.recv_packet`) and charges them as if they
+    were yielded; for the SoC's only task it charges the polls that
+    cannot see a packet before the window ends in one step.
 
 Programs normally use the composite helpers on :class:`TargetRuntime`
 (``recv_packet`` / ``send_packet`` / ``run_inference``) rather than raw
@@ -33,13 +40,7 @@ from typing import Generator
 
 from repro.core.packets import DataPacket, PacketType
 from repro.soc import calib
-from repro.soc.iodev import (
-    REG_CYCLE,
-    REG_RX_COUNT,
-    REG_RX_DATA,
-    REG_TX_DATA,
-    REG_TX_SPACE,
-)
+from repro.soc.iodev import REG_CYCLE, REG_TX_DATA, REG_TX_SPACE
 
 #: Type alias for readability: a target program is a generator of ops.
 TargetProgram = Generator
@@ -52,8 +53,9 @@ class TargetRuntime:
     """Helper library available to target programs.
 
     Stateless; all state lives in the SoC engine that interprets the
-    yielded ops.  Polls start every ``calib.TARGET_POLL_INTERVAL_CYCLES``
-    and back off to :data:`MAX_POLL_INTERVAL_CYCLES`.
+    yielded ops, the poll loop of a receive wait included.  Polls start
+    every ``calib.TARGET_POLL_INTERVAL_CYCLES`` and back off to
+    :data:`MAX_POLL_INTERVAL_CYCLES`.
     """
 
     # -- primitives ------------------------------------------------------
@@ -85,21 +87,17 @@ class TargetRuntime:
         (Section 5.5).  Polling backs off exponentially (the application
         sleeps between polls), bounding both target-side poll traffic and
         host-side simulation work during long stalls.
+
+        The loop runs in the SoC engine, which issues its ops one by one:
+        read ``RX_COUNT``; if non-zero pop ``RX_DATA`` and return the
+        packet (a pop lost to a concurrent task returns nothing and the
+        wait goes on); return ``None`` once the sleeps so far reach
+        ``timeout_cycles``; else sleep and poll again, the sleep doubling
+        from ``calib.TARGET_POLL_INTERVAL_CYCLES`` to
+        :data:`MAX_POLL_INTERVAL_CYCLES`.
         """
-        waited = 0
-        interval = calib.TARGET_POLL_INTERVAL_CYCLES
-        while True:
-            count = yield from self.mmio_read(REG_RX_COUNT)
-            if count > 0:
-                packet = yield from self.mmio_read(REG_RX_DATA)
-                if packet is not None:
-                    return packet
-                # Lost the race to a concurrent task; fall through to wait.
-            if timeout_cycles is not None and waited >= timeout_cycles:
-                return None
-            yield ("delay", interval)
-            waited += interval
-            interval = min(interval * 2, MAX_POLL_INTERVAL_CYCLES)
+        packet = yield ("recv", timeout_cycles)
+        return packet
 
     def recv_packet_of(self, ptype: PacketType, timeout_cycles: int | None = None):
         """Receive until a packet of ``ptype`` arrives, discarding others."""

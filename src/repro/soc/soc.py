@@ -30,11 +30,12 @@ from repro.soc.gemmini import GemminiModel
 from repro.soc.iodev import (
     ROSE_MMIO_BASE,
     ROSE_MMIO_SIZE,
+    REG_RX_COUNT,
     REG_RX_DATA,
     REG_TX_DATA,
     RoseIoDevice,
 )
-from repro.soc.program import TargetRuntime
+from repro.soc.program import MAX_POLL_INTERVAL_CYCLES, TargetRuntime
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,22 @@ class SocCounters:
     cpu_busy_cycles: int = 0
 
 
+#: Stages of a ``recv`` wait: its next op polls ``RX_COUNT``, or follows
+#: a count read, or follows an ``RX_DATA`` pop.
+_POLL, _COUNTED, _POPPED = range(3)
+
+
+@dataclass
+class RxWait:
+    """A task's ``recv`` op in progress: the loop state of the polling
+    driver the engine runs for it (see :meth:`Soc._continue_wait`)."""
+
+    timeout: int | None
+    waited: int = 0
+    interval: int = calib.TARGET_POLL_INTERVAL_CYCLES
+    stage: int = _POLL
+
+
 @dataclass
 class TargetTask:
     """One target program scheduled on the SoC."""
@@ -93,8 +110,8 @@ class TargetTask:
     #: Absolute cycle the task sleeps until (``delay`` ops release the core).
     wake_at: int | None = None
     halted: bool = False
-    busy_cycles: int = 0
-    ops_executed: int = 0
+    #: The ``recv`` op the task is blocked in, if any.
+    wait: RxWait | None = None
 
     @property
     def runnable(self) -> bool:
@@ -125,6 +142,8 @@ class Soc:
         self.tasks: list[TargetTask] = []
         self._core_task: TargetTask | None = None
         self._rr_index = 0
+        #: Cycle at which the running :meth:`step` ends.
+        self._window_end = 0
         # Gemmini busy time accrues proportionally as an inference op's
         # cycles elapse (an op may span several token-bounded steps).
         self._gemmini_busy = 0.0
@@ -187,6 +206,8 @@ class Soc:
         earlier than its copy finishes.
         """
         task.wake_at = None
+        if task.wait is not None and self._continue_wait(task):
+            return
         try:
             op = task.generator.send(task.send_value)
         except StopIteration:
@@ -194,10 +215,12 @@ class Soc:
             task.pending = None
             return
         task.send_value = None
-        task.ops_executed += 1
 
         kind = op[0]
-        if kind == "delay":
+        if kind == "recv":
+            task.wait = RxWait(op[1])
+            self._poll(task)
+        elif kind == "delay":
             cycles = int(op[1])
             if cycles < 0:
                 raise TargetProgramError(f"negative delay of {cycles} cycles")
@@ -208,14 +231,7 @@ class Soc:
                 raise TargetProgramError(f"negative cpu op of {cycles} cycles")
             task.pending = (max(cycles, 1), None, 0.0)
         elif kind == "mmio_read":
-            reg = op[1]
-            value = self.iodev.read(reg)
-            self.counters.mmio_reads += 1
-            cost = self.cpu.mmio_access_cycles
-            if reg == REG_RX_DATA and isinstance(value, DataPacket):
-                cost += self.cpu.copy_cycles(value.payload_bytes)
-                cost += self.bus.transfer_cycles(value.payload_bytes)
-            task.pending = (cost, lambda: value, 0.0)
+            self._read(task, op[1])
         elif kind == "mmio_write":
             reg, value = op[1], op[2]
             cost = self.cpu.mmio_access_cycles
@@ -238,6 +254,86 @@ class Soc:
             task.pending = (report.total_cycles, lambda: report, fraction)
         else:
             raise TargetProgramError(f"unknown target op {kind!r}")
+
+    def _read(self, task: TargetTask, reg: int) -> None:
+        """Put an MMIO read of ``reg`` on the core; the register is read now."""
+        value = self.iodev.read(reg)
+        self.counters.mmio_reads += 1
+        cost = self.cpu.mmio_access_cycles
+        if reg == REG_RX_DATA and isinstance(value, DataPacket):
+            cost += self.cpu.copy_cycles(value.payload_bytes)
+            cost += self.bus.transfer_cycles(value.payload_bytes)
+        task.pending = (cost, lambda: value, 0.0)
+
+    # -- the receive wait -------------------------------------------------
+    def _continue_wait(self, task: TargetTask) -> bool:
+        """Issue the next op of the task's ``recv`` wait.
+
+        The ops are those of a polling driver loop: read ``RX_COUNT``; if
+        it is non-zero pop ``RX_DATA``; after an empty poll (or a pop lost
+        to a concurrent task) give up once the backoff so far has reached
+        the timeout, else sleep the backoff interval, double it up to
+        :data:`~repro.soc.program.MAX_POLL_INTERVAL_CYCLES` and poll again.
+        Returns False when the wait is over; its result (the packet, or
+        ``None`` on timeout) is then the task's send value.
+        """
+        wait = task.wait
+        result, task.send_value = task.send_value, None
+        if wait.stage == _POLL:
+            self._poll(task)
+            return True
+        if wait.stage == _COUNTED and result > 0:
+            wait.stage = _POPPED
+            self._read(task, REG_RX_DATA)
+            return True
+        if wait.stage == _POPPED and result is not None:
+            task.wait = None
+            task.send_value = result
+            return False
+        if wait.timeout is not None and wait.waited >= wait.timeout:
+            task.wait = None
+            return False
+        task.wake_at = self.cycle + wait.interval
+        wait.waited += wait.interval
+        wait.interval = min(wait.interval * 2, MAX_POLL_INTERVAL_CYCLES)
+        wait.stage = _POLL
+        return True
+
+    def _poll(self, task: TargetTask) -> None:
+        """Issue the wait's ``RX_COUNT`` read, after skipping the polls
+        before it that cannot see a packet."""
+        if len(self.tasks) == 1 and self.bridge.target_rx_count() == 0:
+            self._skip_futile_polls(task.wait)
+        task.wait.stage = _COUNTED
+        self._read(task, REG_RX_COUNT)
+
+    def _skip_futile_polls(self, wait: RxWait) -> None:
+        """Charge at once the polls of a lone task that can only read zero.
+
+        Only the host fills the RX queue, between windows, so once it is
+        empty at a poll of the SoC's only task, every poll fetched before
+        the window ends reads zero.  Each (read, delay) pair whose next
+        poll is still fetched before the window end, and after which the
+        timeout check does not fire, is charged here exactly as the
+        op-by-op path charges it: one MMIO read and its busy cycles.  The
+        clock moves to the next poll's fetch.  The window's last poll is
+        left to the op-by-op path, so a read that straddles the boundary
+        and a delay fetched at it carry over as usual.
+        """
+        access = self.cpu.mmio_access_cycles
+        end = self._window_end
+        timeout = wait.timeout
+        cycle, waited, interval = self.cycle, wait.waited, wait.interval
+        polls = 0
+        while (timeout is None or waited < timeout) and cycle + access + interval < end:
+            cycle += access + interval
+            waited += interval
+            interval = min(interval * 2, MAX_POLL_INTERVAL_CYCLES)
+            polls += 1
+        self.counters.mmio_reads += polls
+        self.counters.cpu_busy_cycles += polls * access
+        self.cycle = cycle
+        wait.waited, wait.interval = waited, interval
 
     def _next_ready(self) -> TargetTask | None:
         """Round-robin pick of a ready task."""
@@ -278,7 +374,7 @@ class Soc:
             raise ConfigError(f"step budget must be positive, got {budget}")
         if not self.tasks:
             raise TargetProgramError("no program loaded")
-        end = self.cycle + budget
+        end = self._window_end = self.cycle + budget
         while self.cycle < end:
             self._schedule_core()
             if self._core_task is not None:
@@ -287,7 +383,6 @@ class Soc:
                 advance = min(cost, end - self.cycle)
                 self.cycle += advance
                 self.counters.cpu_busy_cycles += advance
-                task.busy_cycles += advance
                 self._gemmini_busy += advance * fraction
                 if advance == cost:
                     task.pending = None

@@ -17,7 +17,6 @@ from repro.dnn.dataset import (
     CENTER,
     LEFT,
     RIGHT,
-    TrailDataset,
     angular_class,
     generate_trail_dataset,
     lateral_class,

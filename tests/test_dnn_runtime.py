@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dnn.graph import GraphBuilder
-from repro.dnn.resnet import RESNET_NAMES, build_all_graphs, build_resnet_graph
+from repro.dnn.resnet import RESNET_NAMES, build_all_graphs
 from repro.dnn.runtime import (
     SESSION_SWITCH_CYCLES,
     InferenceSession,

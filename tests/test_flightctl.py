@@ -10,7 +10,7 @@ from repro.env.flightctl import (
     SimpleFlightController,
     VelocityTarget,
 )
-from repro.env.physics import AccelCommand, DroneState, QuadrotorDynamics
+from repro.env.physics import DroneState, QuadrotorDynamics
 from repro.env.worlds import tunnel_world
 
 DT = 1.0 / 60.0

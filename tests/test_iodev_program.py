@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import packets as pk
 from repro.core.bridge import RoseBridge
-from repro.core.packets import DataPacket, PacketType
+from repro.core.packets import PacketType
 from repro.errors import TargetProgramError
 from repro.soc.iodev import (
     REG_CYCLE,
@@ -18,7 +18,7 @@ from repro.soc.iodev import (
     RoseIoDevice,
 )
 from repro.soc.calib import TARGET_POLL_INTERVAL_CYCLES
-from repro.soc.program import MAX_POLL_INTERVAL_CYCLES, TargetRuntime
+from repro.soc.program import TargetRuntime
 
 
 @pytest.fixture
@@ -101,59 +101,13 @@ class TestTargetRuntime:
         ops, result = run_program(program(), {"mmio_read": lambda op: 7})
         assert result == 7
 
-    def test_recv_packet_polls_then_pops(self):
+    def test_recv_packet_yields_one_wait_op(self):
+        # The poll loop runs in the SoC engine (see tests/test_soc_wait.py).
         rt = TargetRuntime()
-        counts = iter([0, 0, 1])
         packet = pk.depth_response(1.0)
-
-        def reader(op):
-            if op[1] == REG_RX_COUNT:
-                return next(counts)
-            return packet
-
-        def program():
-            result = yield from rt.recv_packet()
-            return result
-
-        ops, result = run_program(program(), {"mmio_read": reader})
+        ops, result = run_program(rt.recv_packet(5_000), {"recv": lambda op: packet})
+        assert ops == [("recv", 5_000)]
         assert result is packet
-        kinds = [op[0] for op in ops]
-        assert kinds.count("delay") == 2  # two empty polls
-
-    def test_recv_packet_backoff_doubles(self):
-        rt = TargetRuntime()
-        first = TARGET_POLL_INTERVAL_CYCLES
-        doublings = [first << i for i in range(20) if first << i < MAX_POLL_INTERVAL_CYCLES]
-        expected = doublings + [MAX_POLL_INTERVAL_CYCLES] * 2
-
-        def reader(op):
-            return 0  # never ready
-
-        def program():
-            result = yield from rt.recv_packet(timeout_cycles=sum(expected))
-            return result
-
-        ops, result = run_program(program(), {"mmio_read": reader})
-        assert result is None
-        delays = [op[1] for op in ops if op[0] == "delay"]
-        assert delays == expected  # exponential, capped, then the timeout
-
-    def test_recv_packet_of_discards_others(self):
-        rt = TargetRuntime()
-        queue = [pk.imu_response(0, 0, 0, 0, 0), pk.depth_response(2.0)]
-        counts = iter([1, 1])
-
-        def reader(op):
-            if op[1] == REG_RX_COUNT:
-                return 1
-            return queue.pop(0)
-
-        def program():
-            result = yield from rt.recv_packet_of(PacketType.DEPTH_RESP)
-            return result
-
-        _, result = run_program(program(), {"mmio_read": reader})
-        assert result.ptype == PacketType.DEPTH_RESP
 
     def test_send_packet_waits_for_space(self):
         rt = TargetRuntime()
@@ -175,30 +129,6 @@ class TestTargetRuntime:
         assert [op for op in ops if op[0] == "delay"] == [
             ("delay", TARGET_POLL_INTERVAL_CYCLES)
         ] * 2
-
-    def test_request_response_pattern(self):
-        rt = TargetRuntime()
-        sent = []
-
-        def reader(op):
-            if op[1] == REG_RX_COUNT:
-                return 1
-            if op[1] == REG_TX_SPACE:
-                return 1 << 16
-            return pk.depth_response(4.0)
-
-        def writer(op):
-            sent.append(op[2])
-
-        def program():
-            response = yield from rt.request_response(
-                pk.depth_request(), PacketType.DEPTH_RESP
-            )
-            return response
-
-        _, result = run_program(program(), {"mmio_read": reader, "mmio_write": writer})
-        assert sent[0].ptype == PacketType.DEPTH_REQ
-        assert result.values == (4.0,)
 
     def test_run_inference_yields_session(self):
         rt = TargetRuntime()

@@ -9,7 +9,6 @@ from repro.core import packets as pk
 from repro.core.packets import PacketType, decode_packet, encode_packet
 from repro.env.rpc import RpcClient, RpcServer
 from repro.env.sensors import Lidar, LidarParams
-from repro.env.simulator import EnvConfig, EnvSimulator
 from repro.errors import PacketError
 
 

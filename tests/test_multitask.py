@@ -72,8 +72,7 @@ class TestScheduler:
         duo.add_program(hog, name="b")
         duo.step(1_500_000)
         # After 1.5M cycles only ~1.5M cycles of the 2M total ran.
-        busy = duo.task("a").busy_cycles + duo.task("b").busy_cycles
-        assert busy == 1_500_000
+        assert duo.counters.cpu_busy_cycles == 1_500_000
         assert not (duo.task("a").halted and duo.task("b").halted)
         duo.step(600_000)
         assert duo.task("a").halted and duo.task("b").halted

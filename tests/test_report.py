@@ -13,7 +13,6 @@ from repro.analysis.report import (
     quick_report,
     table3_section,
 )
-from repro.env.geometry import Pose2
 from repro.env.worlds import s_shape_world, tunnel_world
 
 

@@ -15,7 +15,6 @@ from repro.env.sensors import (
     Imu,
     ImuParams,
 )
-from repro.env.worlds import tunnel_world
 
 DT = 1.0 / 60.0
 

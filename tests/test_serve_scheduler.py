@@ -29,7 +29,6 @@ from repro.serve import (
     TaskRecord,
     job_id_for,
 )
-from repro.sweep.fingerprint import config_key
 
 FINGERPRINT = "test-fingerprint"
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro import CoSimConfig, run_mission
 from repro.env.geometry import Pose2
-from repro.env.worlds import s_shape_world, tunnel_world
 from repro.errors import ConfigError
 from repro.slam.grid import GridParams, OccupancyGrid
 from repro.slam.pipeline import SlamPipeline, slam_grid_for_world

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import packets as pk
 from repro.errors import ConfigError, TargetProgramError
-from repro.soc.iodev import REG_CYCLE, REG_RX_COUNT, REG_RX_DATA, REG_TX_DATA
-from repro.soc.soc import CONFIG_A, CONFIG_B, CONFIG_C, Soc, SocConfig, soc_config
+from repro.soc.iodev import REG_RX_COUNT, REG_RX_DATA, REG_TX_DATA
+from repro.soc.soc import CONFIG_A, CONFIG_B, CONFIG_C, Soc, soc_config
 
 
 class TestTable2Configs:

@@ -21,7 +21,6 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import run_mission
 from repro.errors import ConfigError, SweepError
 from repro.sweep import (
-    ChaosError,
     ChaosPlan,
     ResultCache,
     RetryPolicy,

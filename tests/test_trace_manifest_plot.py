@@ -15,7 +15,7 @@ from repro.core.manifest import (
     dump_manifest,
     load_manifest,
 )
-from repro.core.trace import TraceEvent, Tracer
+from repro.core.trace import Tracer
 from repro.env.worlds import tunnel_world
 from repro.errors import ConfigError
 

@@ -9,7 +9,7 @@ from repro.core import packets as pk
 from repro.core import transport as transport_module
 from repro.core.cosim import run_mission
 from repro.core.packets import DataPacket, PacketType, decode_packet, encode_packet
-from repro.core.transport import InProcessTransport, TcpTransport, transport_pair
+from repro.core.transport import transport_pair
 from repro.errors import PacketError, TransportError
 from repro.sweep import mission_signature
 from repro.verify.golden import DEFAULT_GOLDEN_DIR, config_for_record, load_record
