@@ -18,7 +18,11 @@ Bit-exactness contract
 The dynamics and PID kernels replicate the serial arithmetic of their
 counterparts — :mod:`repro.env.physics` and :mod:`repro.env.flightctl`
 — operation for operation, in the same order, so a lane of the batch
-produces bit-for-bit the floats the serial simulator produces.  This
+produces bit-for-bit the floats the serial simulator produces.  The
+serial frame works in plain-float locals (gains read once, no per-frame
+command objects, clamps written as ``lo if lo > x else x`` then ``hi if
+hi < x else x``, which pick what builtin ``min(max(x, lo), hi)`` picks),
+but every operation and its order are still the ones mirrored here.  This
 relies on elementwise numpy ufuncs (``np.cos``/``np.sin``/``np.sqrt``/
 ``np.fmod``, arithmetic, compare/select) computing the same IEEE-754
 result as the scalar ``math.*`` / Python-float expression; that holds on

@@ -39,7 +39,7 @@ class VelocityTarget:
         return (self.v_forward, self.v_lateral, self.yaw_rate, self.altitude)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PidGains:
     kp: float
     ki: float = 0.0
@@ -51,8 +51,16 @@ class PidGains:
 class Pid:
     """A scalar PID loop with integral clamping and output limiting."""
 
+    __slots__ = ("gains", "_kp", "_ki", "_kd", "_ilim", "_olim", "_integral", "_last_error")
+
     def __init__(self, gains: PidGains):
+        # The gains are frozen, so they are read once here, not per update.
         self.gains = gains
+        self._kp = gains.kp
+        self._ki = gains.ki
+        self._kd = gains.kd
+        self._ilim = gains.integral_limit
+        self._olim = gains.output_limit
         self._integral = 0.0
         self._last_error: float | None = None
 
@@ -61,18 +69,24 @@ class Pid:
         self._last_error = None
 
     def update(self, error: float, dt: float) -> float:
-        g = self.gains
-        # Builtin min/max matches np.clip bit-for-bit on scalars and keeps
-        # the per-frame control path allocation-free.
-        self._integral = min(
-            max(self._integral + error * dt, -g.integral_limit), g.integral_limit
-        )
+        # ``lo if lo > x else x`` then ``hi if hi < x else x`` pick what
+        # builtin ``min(max(x, lo), hi)`` picks, signed zeros and NaN
+        # included, with no call.
+        hi = self._ilim
+        lo = -hi
+        integral = self._integral + error * dt
+        integral = lo if lo > integral else integral
+        integral = self._integral = hi if hi < integral else integral
         derivative = 0.0
-        if self._last_error is not None and dt > 0:
-            derivative = (error - self._last_error) / dt
+        last = self._last_error
+        if last is not None and dt > 0:
+            derivative = (error - last) / dt
         self._last_error = error
-        out = g.kp * error + g.ki * self._integral + g.kd * derivative
-        return min(max(out, -g.output_limit), g.output_limit)
+        out = self._kp * error + self._ki * integral + self._kd * derivative
+        hi = self._olim
+        lo = -hi
+        out = lo if lo > out else out
+        return hi if hi < out else out
 
 
 @dataclass
@@ -127,11 +141,12 @@ class SimpleFlightController:
         if not self.armed:
             return AccelCommand()
         t = self.target
+        altitude_error = t.altitude - state.z
+        altitude_error = -1.0 if -1.0 > altitude_error else altitude_error
+        altitude_error = 1.0 if 1.0 < altitude_error else altitude_error
         return AccelCommand(
-            a_forward=self._fwd.update(t.v_forward - state.u, dt),
-            a_lateral=self._lat.update(t.v_lateral - state.v, dt),
-            a_vertical=self._vert.update(
-                min(max(t.altitude - state.z, -1.0), 1.0) * 1.5 - state.vz, dt
-            ),
-            yaw_accel=self._yaw.update(t.yaw_rate - state.r, dt),
+            self._fwd.update(t.v_forward - state.u, dt),
+            self._lat.update(t.v_lateral - state.v, dt),
+            self._vert.update(altitude_error * 1.5 - state.vz, dt),
+            self._yaw.update(t.yaw_rate - state.r, dt),
         )

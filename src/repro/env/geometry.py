@@ -21,7 +21,8 @@ point (plain floats against ``(S,)`` segment arrays) and many points
 and get the same bits.
 
 The one-point queries the simulator asks on every physics frame,
-:meth:`SegmentSoup.min_distance` (the collision test) and
+:meth:`SegmentSoup.min_distance` (the collision test, asked only where
+the cell's clearance floor cannot answer; see the floor rule) and
 :meth:`Polyline.project` (the ``(s, d)`` course coordinates), do not scan
 every segment.  Each soup and polyline keeps a :class:`_CellMemo`: a
 uniform grid of square cells, filled lazily, that lists for each visited
@@ -48,6 +49,21 @@ computed distance may be off by its length (under ``sqrt(_EPS)``).  The
 first nearest segment of the full scan is therefore a candidate, and
 every candidate's terms are the full scan's bits, so the minimum, the
 lowest-index tie-break, ``t`` and the residual come out identical.
+
+The floor rule: a soup cell also keeps a clearance floor
+``f = m - diagonal / 2 - slack``, and :meth:`World.course_if_clear
+<repro.env.worlds.World.course_if_clear>` calls a point clear of a disc
+of radius ``r`` when ``f > r``, without computing its distance.  Proof
+that then ``not (min_distance(p) <= r)``, the exact answer, for every
+point ``p`` of the cell: by the same Lipschitz bound, the nearest
+segment ``j`` of ``p`` has ``D(p, j) >= D(c, j) - |p - c| >= m - |p - c|
+>= m - diagonal / 2``, and ``slack`` covers the same rounding as above
+(the computed distances of ``p`` and ``c``, a point rounded into the
+cell, a degenerate segment), so the computed ``min_distance(p) >= f > r``.
+The bound is one-sided: ``f <= r`` proves nothing, and the exact
+distance answers.  So does every point the grid does not cover, where
+the floor is ``-inf``, and a NaN radius, which no floor exceeds.  A cell
+visited only by floor-decided tests builds no candidate rows.
 
 A point outside the geometry's bounding box plus ``_CELL_MARGIN``, or
 with a non-finite coordinate, takes the full scan.  Batched callers
@@ -159,18 +175,22 @@ class Ray2:
 
 
 class _CellMemo:
-    """Lazily filled per-cell candidate rows of one soup or polyline.
+    """Lazily filled per-cell candidate rows and clearance floors of one
+    soup or polyline.
 
     ``owner`` provides ``_distances(cx, cy)``, the ``(S,)`` array of its
     kernel's distances from one point, and ``_row(j)``, segment ``j``'s
     plain-float terms.  A cell keeps the rows of its candidates (the cell
     rule in the module docstring); a row is built when its segment first
-    becomes a candidate.  Both memos fill with ``setdefault``, so
-    simulators and threads sharing one world may race on a cell and all
-    read the same rows.
+    becomes a candidate.  A cell's clearance floor (the floor rule) is kept
+    apart from its rows, so a query the floor answers builds no row.  The
+    stores fill with ``setdefault``, so simulators and threads sharing one
+    world may race on a cell and all read the same rows and floor.
     """
 
-    __slots__ = ("_x0", "_y0", "_nx", "_ny", "_bound", "_cells", "_rows")
+    __slots__ = (
+        "_x0", "_y0", "_nx", "_ny", "_bound", "_floor_margin", "_cells", "_floors", "_rows",
+    )
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         self._x0 = float(xs.min()) - _CELL_MARGIN
@@ -183,32 +203,58 @@ class _CellMemo:
         )
         slack = 4.0 * math.sqrt(_EPS) + 1e-9 * (1.0 + reach)
         self._bound = math.hypot(_CELL, _CELL) + slack
+        self._floor_margin = 0.5 * math.hypot(_CELL, _CELL) + slack
         self._cells: dict[int, tuple] = {}
+        self._floors: dict[int, float] = {}
         self._rows: dict[int, tuple] = {}
 
-    def rows(self, px: float, py: float, owner) -> tuple | None:
-        """Candidate rows for the point, or ``None`` where the full scan
-        must answer (outside the grid, or a non-finite coordinate)."""
+    def _key(self, px: float, py: float) -> int | None:
+        """The point's cell, or ``None`` outside the grid (a non-finite
+        coordinate included)."""
         fx = (px - self._x0) / _CELL
         fy = (py - self._y0) / _CELL
         if not (0.0 <= fx < self._nx and 0.0 <= fy < self._ny):
             return None
-        key = int(fx) * self._ny + int(fy)
+        return int(fx) * self._ny + int(fy)
+
+    def rows(self, px: float, py: float, owner) -> tuple | None:
+        """Candidate rows for the point, or ``None`` where the full scan
+        must answer (outside the grid, or a non-finite coordinate)."""
+        key = self._key(px, py)
+        if key is None:
+            return None
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells.setdefault(key, self._fill(key, owner))
         return cell
 
-    def _fill(self, key: int, owner) -> tuple:
+    def floor(self, px: float, py: float, owner) -> float:
+        """The clearance floor of the point's cell: no point of the cell
+        has a computed distance below it.  ``-inf`` outside the grid."""
+        key = self._key(px, py)
+        if key is None:
+            return -math.inf
+        floor = self._floors.get(key)
+        if floor is None:
+            floor = self._floors.setdefault(key, self._fill_floor(key, owner))
+        return floor
+
+    def _centre_distances(self, key: int, owner) -> np.ndarray:
         ix, iy = divmod(key, self._ny)
-        dist = owner._distances(
+        return owner._distances(
             self._x0 + (ix + 0.5) * _CELL, self._y0 + (iy + 0.5) * _CELL
         )
+
+    def _fill(self, key: int, owner) -> tuple:
+        dist = self._centre_distances(key, owner)
         rows = self._rows
         return tuple(
             rows.get(j) or rows.setdefault(j, owner._row(j))
             for j in np.flatnonzero(dist <= dist.min() + self._bound).tolist()
         )
+
+    def _fill_floor(self, key: int, owner) -> float:
+        return float(self._centre_distances(key, owner).min()) - self._floor_margin
 
 
 class SegmentSoup:
@@ -271,6 +317,14 @@ class SegmentSoup:
             float(self._ax[j]), float(self._ay[j]),
             float(self._dx[j]), float(self._dy[j]), float(self._denom[j]),
         )
+
+    def clearance_floor(self, point: np.ndarray) -> float:
+        """A lower bound on :meth:`min_distance` of ``point``: its memo
+        cell's clearance floor (the floor rule), ``-inf`` off the grid.
+
+        ``floor > r`` proves ``not (min_distance(point) <= r)``; otherwise
+        only :meth:`min_distance` can answer."""
+        return self._memo.floor(float(point[0]), float(point[1]), self)
 
     def min_distance(self, point: np.ndarray) -> float:
         """Distance from ``point`` to the nearest segment in the soup:

@@ -152,64 +152,83 @@ class QuadrotorDynamics:
         """
         p = self.params
         st = self.state
+        u, v, vz, r = st.u, st.v, st.vz, st.r
 
-        if self.recovering:
+        recovering = self.time < self._recovery_until
+        if recovering:
             # During recovery the autopilot brakes to hover; external
             # commands are ignored, matching the "re-stabilize after a
             # collision" behaviour the artifact appendix describes.
-            command = AccelCommand(
-                a_forward=-st.u / max(p.recovery_time * 0.5, dt),
-                a_lateral=-st.v / max(p.recovery_time * 0.5, dt),
-                a_vertical=-st.vz / max(p.recovery_time * 0.5, dt),
-                yaw_accel=-st.r / max(p.recovery_time * 0.5, dt),
-            )
+            brake = max(p.recovery_time * 0.5, dt)
+            a_forward = -u / brake
+            a_lateral = -v / brake
+            a_vertical = -vz / brake
+            yaw_accel = -r / brake
+        else:
+            a_forward = command.a_forward
+            a_lateral = command.a_lateral
+            a_vertical = command.a_vertical
+            yaw_accel = command.yaw_accel
 
-        # Scalar clamps: builtin min/max round identically to np.clip on
-        # floats but allocate nothing.
-        clipped = AccelCommand(
-            a_forward=min(max(command.a_forward, -p.max_linear_accel), p.max_linear_accel),
-            a_lateral=min(max(command.a_lateral, -p.max_linear_accel), p.max_linear_accel),
-            a_vertical=min(max(command.a_vertical, -p.max_vertical_accel), p.max_vertical_accel),
-            yaw_accel=min(max(command.yaw_accel, -p.max_yaw_accel), p.max_yaw_accel),
-        )
+        # Clamps into locals: ``lo if lo > x else x`` then ``hi if hi < x
+        # else x`` pick what builtin ``min(max(x, lo), hi)`` picks, signed
+        # zeros and NaN included.
+        hi = p.max_linear_accel
+        lo = -hi
+        a_forward = lo if lo > a_forward else a_forward
+        a_forward = hi if hi < a_forward else a_forward
+        a_lateral = lo if lo > a_lateral else a_lateral
+        a_lateral = hi if hi < a_lateral else a_lateral
+        hi = p.max_vertical_accel
+        lo = -hi
+        a_vertical = lo if lo > a_vertical else a_vertical
+        a_vertical = hi if hi < a_vertical else a_vertical
+        hi = p.max_yaw_accel
+        lo = -hi
+        yaw_accel = lo if lo > yaw_accel else yaw_accel
+        yaw_accel = hi if hi < yaw_accel else yaw_accel
 
         # First-order actuator lag: attitude (hence lateral force) cannot
         # change instantaneously.
         alpha = dt / (p.actuator_tau + dt)
         ap = self._applied
-        ap.a_forward += alpha * (clipped.a_forward - ap.a_forward)
-        ap.a_lateral += alpha * (clipped.a_lateral - ap.a_lateral)
-        ap.a_vertical += alpha * (clipped.a_vertical - ap.a_vertical)
-        ap.yaw_accel += alpha * (clipped.yaw_accel - ap.yaw_accel)
+        ap_forward = ap.a_forward = ap.a_forward + alpha * (a_forward - ap.a_forward)
+        ap_lateral = ap.a_lateral = ap.a_lateral + alpha * (a_lateral - ap.a_lateral)
+        ap_vertical = ap.a_vertical = ap.a_vertical + alpha * (a_vertical - ap.a_vertical)
+        ap_yaw = ap.yaw_accel = ap.yaw_accel + alpha * (yaw_accel - ap.yaw_accel)
 
         # Integrate body-frame velocities with drag.
-        st.u += (ap.a_forward - p.linear_drag * st.u) * dt
-        st.v += (ap.a_lateral - p.linear_drag * st.v) * dt
-        st.vz += (ap.a_vertical - p.linear_drag * st.vz) * dt
-        st.r += (ap.yaw_accel - p.yaw_drag * st.r) * dt
+        drag = p.linear_drag
+        u += (ap_forward - drag * u) * dt
+        v += (ap_lateral - drag * v) * dt
+        vz += (ap_vertical - drag * vz) * dt
+        r += (ap_yaw - p.yaw_drag * r) * dt
 
-        speed = st.speed
+        speed = math.hypot(u, v)
         if speed > p.max_speed:
             scale = p.max_speed / speed
-            st.u *= scale
-            st.v *= scale
-        st.r = min(max(st.r, -p.max_yaw_rate), p.max_yaw_rate)
+            u *= scale
+            v *= scale
+        hi = p.max_yaw_rate
+        lo = -hi
+        r = lo if lo > r else r
+        r = hi if hi < r else r
+        st.u, st.v, st.vz, st.r = u, v, vz, r
 
         # Integrate pose.  The world-frame velocity rotation is inlined
-        # (identical arithmetic to ``DroneState.world_velocity``) so the
-        # per-frame hot path allocates no intermediate array.
-        st.yaw = wrap_angle(st.yaw + st.r * dt)
-        c, s = math.cos(st.yaw), math.sin(st.yaw)
-        new_x = st.x + (st.u * c - st.v * s) * dt
-        new_y = st.y + (st.u * s + st.v * c) * dt
-        st.z += st.vz * dt
+        # (identical arithmetic to ``DroneState.world_velocity``).
+        yaw = st.yaw = wrap_angle(st.yaw + r * dt)
+        c, s = math.cos(yaw), math.sin(yaw)
+        new_x = st.x + (u * c - v * s) * dt
+        new_y = st.y + (u * s + v * c) * dt
+        st.z += vz * dt
 
         pos = self._collision_probe
         pos[0] = new_x
         pos[1] = new_y
         course = self.world.course_if_clear(pos, p.collision_radius)
         if course is None:
-            if not self.recovering:
+            if not recovering:
                 self._handle_collision(new_x, new_y)
             # While recovering against the wall, hold position.
         else:

@@ -15,6 +15,7 @@ sensor reads (camera / IMU / depth / kinematic state), actuation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,7 +169,7 @@ class EnvSimulator:
         self._course_s = 0.0
         self._course_d = 0.0
         self._heading_error: float | None = None
-        self._record_sample()
+        self._record_sample(None, self.config.frame_dt)
 
     # ------------------------------------------------------------------
     # Simulator commands
@@ -193,7 +194,7 @@ class EnvSimulator:
         self.frame = 0
         self.trajectory = []
         self._goal_time = None
-        self._record_sample()
+        self._record_sample(None, self.config.frame_dt)
 
     def takeoff(self) -> None:
         """Arm the flight controller with an altitude-hold target."""
@@ -208,17 +209,16 @@ class EnvSimulator:
         if frames < 0:
             raise SimulationError("cannot step a negative number of frames")
         dt = self.config.frame_dt
-        is_car = self.config.vehicle == "car"
+        controller, dynamics = self.controller, self.dynamics
+        # The car's controller reads the dynamics (its steering angle).
+        observed = dynamics if self.config.vehicle == "car" else dynamics.state
+        goal = self.world.goal_arclength
         for _ in range(frames):
-            if is_car:
-                command = self.controller.update(self.dynamics, dt)
-            else:
-                command = self.controller.update(self.dynamics.state, dt)
-            course = self.dynamics.step(command, dt)
+            course = dynamics.step(controller.update(observed, dt), dt)
             self.frame += 1
-            self._record_sample(course)
-            if self._goal_time is None and self._course_s >= self.world.goal_arclength:
-                self._goal_time = self.sim_time
+            self._record_sample(course, dt)
+            if self._goal_time is None and self._course_s >= goal:
+                self._goal_time = self.frame * dt
 
     # ------------------------------------------------------------------
     # Sensor / state API (the AirSim RPC surface)
@@ -300,21 +300,13 @@ class EnvSimulator:
         self._course_d = d
         self._heading_error = None
 
-    def _record_sample(self, course: tuple[float, float] | None = None) -> None:
-        """Log the committed pose; ``course`` is its ``(s, d)`` when the
-        dynamics step already projected it."""
+    def _record_sample(self, course: tuple[float, float] | None, dt: float) -> None:
+        """Log the committed pose at ``frame * dt``; ``course`` is its
+        ``(s, d)`` when the dynamics step already projected it."""
         st = self.dynamics.state
-        s, d = course or self.world.course_coordinates(np.array([st.x, st.y]))
+        x, y = st.x, st.y
+        s, d = course or self.world.course_coordinates(np.array([x, y]))
         self.set_course_coordinates(s, d)
         self.trajectory.append(
-            TrajectorySample(
-                time=self.sim_time,
-                x=st.x,
-                y=st.y,
-                z=st.z,
-                yaw=st.yaw,
-                speed=st.speed,
-                s=s,
-                d=d,
-            )
+            TrajectorySample(self.frame * dt, x, y, st.z, st.yaw, math.hypot(st.u, st.v), s, d)
         )

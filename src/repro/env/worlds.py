@@ -142,8 +142,14 @@ class World:
         self, position: np.ndarray, radius: float
     ) -> tuple[float, float] | None:
         """:meth:`in_collision` that keeps its projection: ``(s, d)`` of a
-        collision-free ``position``, ``None`` for a colliding one."""
-        if self.wall_clearance(position) <= radius:
+        collision-free ``position``, ``None`` for a colliding one.
+
+        The wall test is ``wall_clearance(position) <= radius``.  Where the
+        position's clearance floor exceeds ``radius`` that test is proved
+        false and skipped; only a position near a wall, off the walls'
+        grid or non-finite runs the exact distance."""
+        walls = self.walls
+        if not walls.clearance_floor(position) > radius and walls.min_distance(position) <= radius:
             return None
         s, d = self.course_coordinates(position)
         return None if abs(d) >= self.half_width else (s, d)
@@ -265,9 +271,9 @@ def cached_world(name: str, **params) -> World:
     per-segment arrays are read-only), so every simulator in a process
     can share one instance.  The one exception is the geometry's
     one-point query memo (:class:`repro.env.geometry._CellMemo`), which
-    fills per-cell candidate lists as points are queried; it never
-    changes an answer, and its ``setdefault`` fill is safe for threads
-    sharing the world.  Building an s-shape
+    fills per-cell candidate lists and clearance floors as points are
+    queried; it never changes an answer, and its ``setdefault`` fill is
+    safe for threads sharing the world.  Building an s-shape
     world costs milliseconds of wall geometry; a sweep re-running hundreds
     of missions on the same map pays it once.  Unhashable parameter
     values (scenario ``spec`` dicts) key on their canonical JSON instead;

@@ -163,11 +163,11 @@ class SweepService:
         """
         job = self.scheduler.job(job_id)
         snapshots = []
-        for (name, config), key in zip(job.tasks, job.keys):
+        for key in job.keys:
             record = job.records.get(key)
             if record is None or not record.ok:
                 continue
-            result = self.cache.get(config)
+            result = self.cache.get(key)
             if result is not None and result.obs is not None:
                 snapshots.append(result.obs.metrics)
         return {
@@ -204,7 +204,7 @@ class SweepService:
             result = None
             failure = None
             if record.ok:
-                result = self.cache.get(config)
+                result = self.cache.get(key)
                 if result is None:
                     raise ServeError(
                         f"job {job_id!r}: result for task {name!r} is missing "

@@ -24,9 +24,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.core.config import CoSimConfig
 from repro.core.cosim import MissionResult
-from repro.sweep.fingerprint import code_fingerprint, config_key
+from repro.sweep.fingerprint import code_fingerprint
 
 CACHE_FORMAT = "rose-sweep-cache/1"
 
@@ -60,13 +59,10 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self._dir() / f"{key}.pkl"
 
-    def key_for(self, config: CoSimConfig) -> str:
-        return config_key(config)
-
     # ------------------------------------------------------------------
-    def get(self, config: CoSimConfig) -> MissionResult | None:
-        """The cached result for ``config``, or ``None`` on a miss."""
-        key = self.key_for(config)
+    def get(self, key: str) -> MissionResult | None:
+        """The cached result under ``key`` (a config's :func:`config_key`),
+        or ``None`` on a miss."""
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -96,9 +92,9 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, config: CoSimConfig, result: MissionResult) -> Path:
-        """Atomically store ``result`` under ``config``'s key."""
-        key = self.key_for(config)
+    def put(self, key: str, result: MissionResult) -> Path:
+        """Atomically store ``result`` under ``key`` (its config's
+        :func:`config_key`)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {

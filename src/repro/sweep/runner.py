@@ -367,7 +367,7 @@ class SweepRunner:
         # Cache pass: resolve hits in the parent, collect misses to run.
         misses: list[_Pending] = []
         for index, task in enumerate(normalized):
-            cached = self.cache.get(task.config) if self.cache is not None else None
+            cached = self.cache.get(keys[index]) if self.cache is not None else None
             if cached is not None:
                 entry = replayed.get(keys[index])
                 if entry is not None and entry.state in SUCCESS_STATES:
@@ -507,7 +507,7 @@ class SweepRunner:
             owner=self.owner,
         )
         if self.cache is not None:
-            self.cache.put(pending.task.config, result)
+            self.cache.put(pending.key, result)
         self._journal_task(pending.task.name, pending.key, "ok", pending.attempt, None)
 
     def _charge(

@@ -893,12 +893,15 @@ def _oracle_deepcheck_clean() -> list[Divergence]:
     "(bit-identical signature and payload)",
 )
 def _oracle_cache_roundtrip() -> list[Divergence]:
+    from repro.sweep.fingerprint import config_key
+
     cfg = _tiny_config(seed=3)
+    key = config_key(cfg)
     want = run_mission(cfg)
     with tempfile.TemporaryDirectory(prefix="repro-oracle-cache-") as root:
         cache = ResultCache(Path(root))
-        cache.put(cfg, want)
-        got = cache.get(cfg)
+        cache.put(key, want)
+        got = cache.get(key)
     if got is None:
         return [
             Divergence(

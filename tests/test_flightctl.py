@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.env.flightctl import (
     Pid,
     PidGains,
     SimpleFlightController,
+    SimpleFlightGains,
     VelocityTarget,
 )
-from repro.env.physics import DroneState, QuadrotorDynamics
+from repro.env.physics import AccelCommand, DroneState, QuadrotorDynamics
 from repro.env.worlds import tunnel_world
 
 DT = 1.0 / 60.0
@@ -140,3 +146,97 @@ class TestClosedLoopTracking:
     def test_lateral_velocity_tracked(self):
         state = self.simulate(VelocityTarget(v_lateral=1.0, altitude=1.5))
         assert state.v == pytest.approx(1.0, abs=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Same bits as the object-per-frame controller
+# ---------------------------------------------------------------------------
+class ReferencePid:
+    """``Pid.update`` as written before it read its gains once and
+    clamped with conditional expressions: builtin ``min``/``max`` over the
+    gains object on every call."""
+
+    def __init__(self, gains: PidGains):
+        self.gains = gains
+        self._integral = 0.0
+        self._last_error: float | None = None
+
+    def update(self, error: float, dt: float) -> float:
+        g = self.gains
+        self._integral = min(
+            max(self._integral + error * dt, -g.integral_limit), g.integral_limit
+        )
+        derivative = 0.0
+        if self._last_error is not None and dt > 0:
+            derivative = (error - self._last_error) / dt
+        self._last_error = error
+        out = g.kp * error + g.ki * self._integral + g.kd * derivative
+        return min(max(out, -g.output_limit), g.output_limit)
+
+
+def reference_command(pids, target: VelocityTarget, state: DroneState, dt: float):
+    """``SimpleFlightController.update`` as written before, keyword
+    construction and builtin clamps included."""
+    fwd, lat, vert, yaw = pids
+    return AccelCommand(
+        a_forward=fwd.update(target.v_forward - state.u, dt),
+        a_lateral=lat.update(target.v_lateral - state.v, dt),
+        a_vertical=vert.update(
+            min(max(target.altitude - state.z, -1.0), 1.0) * 1.5 - state.vz, dt
+        ),
+        yaw_accel=yaw.update(target.yaw_rate - state.r, dt),
+    )
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+#: Finite values, signed zeros, infinities and NaN.
+ANY_FLOAT = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestSameBitsAsReference:
+    def test_gains_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PidGains(kp=1.0).kp = 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kp=st.floats(0.0, 10.0), ki=st.floats(0.0, 2.0), kd=st.floats(0.0, 1.0),
+        integral_limit=st.floats(0.0, 5.0),
+        output_limit=st.one_of(st.just(math.inf), st.floats(0.0, 10.0)),
+        errors=st.lists(ANY_FLOAT, min_size=1, max_size=40),
+        dt=st.sampled_from([1.0 / 60.0, 0.01, 0.0, -0.0]),
+    )
+    def test_pid_matches_reference(self, kp, ki, kd, integral_limit, output_limit, errors, dt):
+        gains = PidGains(kp, ki, kd, integral_limit, output_limit)
+        pid, reference = Pid(gains), ReferencePid(gains)
+        got = [pid.update(e, dt) for e in errors]
+        want = [reference.update(e, dt) for e in errors]
+        assert _hex(got) == _hex(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        targets=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1),
+        states=st.lists(
+            st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1
+        ),
+    )
+    def test_controller_matches_reference(self, targets, states):
+        gains = SimpleFlightGains()
+        ctl = SimpleFlightController(gains)
+        ctl.arm()
+        pids = [
+            ReferencePid(g) for g in (gains.forward, gains.lateral, gains.vertical, gains.yaw_rate)
+        ]
+        for (v_f, v_l, yaw_rate, altitude), (u, v, z, vz, r) in zip(targets, states):
+            target = VelocityTarget(v_f, v_l, yaw_rate, altitude)
+            state = DroneState(u=u, v=v, z=z, vz=vz, r=r)
+            ctl.set_target(target)
+            got = ctl.update(state, DT)
+            want = reference_command(pids, target, state, DT)
+            assert _hex(dataclasses.astuple(got)) == _hex(dataclasses.astuple(want))

@@ -8,8 +8,12 @@ by ``float.hex``, segment index included, on the tunnel, the s-shape and
 a compiled zigzag with a box and a diamond obstacle: at seeded points, on
 cell corners and edges, at the centerline and wall vertices (where
 nearest-segment ties live), at signed zeros, beyond the memo's grid and
-at non-finite coordinates.  A serial mission is spied on to show that
-the memo, not the full scan, answers it, and that each visited cell is
+at non-finite coordinates.  The collision test's clearance floor is
+checked against the exact distance it stands in for: seeded points across
+the grid and within a cell diagonal of every wall, at the quadrotor's,
+the car's and a zero radius.  A serial mission is spied on to show that
+the memo, not the full scan, answers it, how its collision tests split
+between the floor and the exact distance, and that each visited cell is
 filled once.
 """
 
@@ -162,6 +166,60 @@ def beyond_grid_points(world: World) -> list[tuple[float, float]]:
     ]
 
 
+#: Collision radii: the quadrotor's, the car's, and zero.
+RADII = (0.3, 0.8, 0.0)
+
+
+def near_wall_points(world: World, per_segment: int = 4) -> list[tuple[float, float]]:
+    """Seeded points within one cell diagonal of each wall segment, on
+    either side of it."""
+    rng = np.random.default_rng(29)
+    reach = math.hypot(geometry._CELL, geometry._CELL)
+    points = []
+    for seg in world.walls.segments:
+        dx, dy = seg.bx - seg.ax, seg.by - seg.ay
+        length = math.hypot(dx, dy)
+        nx, ny = (-dy / length, dx / length) if length > 0.0 else (0.0, 1.0)
+        for t, off in zip(
+            rng.uniform(0.0, 1.0, per_segment), rng.uniform(-reach, reach, per_segment)
+        ):
+            points.append((seg.ax + t * dx + off * nx, seg.ay + t * dy + off * ny))
+    return points
+
+
+def floor_check_points(world: World) -> list[tuple[float, float]]:
+    """Grid-wide and near-wall seeded points, plus a NaN and an off-grid
+    point."""
+    x0, y0, x1, y1 = _grid(world.walls._memo)
+    points = [(float(px), float(py)) for px, py in seeded_points(world)]
+    points += near_wall_points(world)
+    return points + [(math.nan, 0.5 * (y0 + y1)), (x1 + 1.0, 0.5 * (y0 + y1))]
+
+
+def assert_floor_answers_exactly(world: World, points, radius: float) -> int:
+    """The clearance floor never exceeds the exact distance, and the
+    floor-backed collision test ``World.course_if_clear`` answers
+    ``not (min_distance(p) <= radius)`` with the full scan's ``(s, d)``.
+    Returns how many points the floor decided."""
+    walls, line = world.walls, world.centerline
+    decided = 0
+    for px, py in points:
+        p = np.array([px, py])
+        floor = walls.clearance_floor(p)
+        exact = walls.min_distance(p)
+        assert not floor > exact, (px, py, floor, exact)
+        decided += floor > radius
+        expected = None
+        if not exact <= radius:
+            i, t, dx, dy = line.nearest_segment(px, py)
+            d = float(np.array([dx, dy]) @ line.normals[i])
+            if not abs(d) >= world.half_width:
+                expected = _hex(line.cum[i] + t, d)
+        got = world.course_if_clear(p, radius)
+        assert (got if got is None else _hex(*got)) == expected, (px, py, radius)
+    return decided
+
+
 @pytest.mark.parametrize("name", WORLD_NAMES)
 class TestMatchesFullScan:
     def test_seeded_points(self, name, built):
@@ -225,6 +283,16 @@ class TestMatchesFullScan:
             if got is not None:
                 assert _hex(*got) == _hex(*expected)
 
+    @pytest.mark.parametrize("radius", RADII)
+    def test_clearance_floor_answers_exactly(self, name, built, radius):
+        world = built[name]
+        points = floor_check_points(world)
+        with np.errstate(invalid="ignore"):
+            decided = assert_floor_answers_exactly(world, points, radius)
+        # Both answers are exercised: the floor decides some points, and
+        # the exact distance the rest.
+        assert 0 < decided < len(points)
+
 
 def test_signed_zero_polyline_keeps_the_clips_positive_zero():
     """A polyline whose vertices carry ``-0.0``: the full scan's clip
@@ -267,29 +335,49 @@ def test_property_anywhere_in_the_grid(name, built, fx, fy):
 
 
 def test_rows_are_built_for_candidates_only():
-    """One query fills one cell per memo and builds the rows of its
-    candidates only."""
+    """A collision test the clearance floor decides builds no wall row.  A
+    point near a wall fills one cell per memo it asks, with the rows of
+    that cell's candidates only."""
     world = s_shape_world()
-    world.course_if_clear(world.centerline.points[40], 0.3)
-    for owner, segments in (
-        (world.walls, len(world.walls)),
-        (world.centerline, len(world.centerline.lengths)),
-    ):
-        memo = owner._memo
-        assert len(memo._cells) == 1
-        (cell,) = memo._cells.values()
-        assert len(memo._rows) == len(cell) < segments / 10
+    walls, line = world.walls._memo, world.centerline._memo
+    centre = world.centerline.points[40]
+    assert world.course_if_clear(centre, 0.3) is not None
+    assert len(walls._floors) == 1
+    assert walls._cells == {} and walls._rows == {}
+    # The centre's projection fills one centerline cell.
+    assert len(line._cells) == 1
+    (cell,) = line._cells.values()
+    assert len(line._rows) == len(cell) < len(world.centerline.lengths) / 10
+
+    wall = world.left_wall.points[40]
+    inward = (centre - wall) / np.linalg.norm(centre - wall)
+    assert world.course_if_clear(wall + 0.1 * inward, 0.3) is None
+    assert len(walls._floors) == 2
+    assert len(walls._cells) == 1
+    (cell,) = walls._cells.values()
+    assert len(walls._rows) == len(cell) < len(world.walls) / 10
+    # A colliding point is not projected.
+    assert len(line._cells) == 1
 
 
 def test_serial_mission_is_answered_by_the_memo(monkeypatch):
     """A serial s-shape mission with two wall collisions makes no full-scan
-    one-point query and fills each cell it visits once."""
+    one-point query, decides its collision tests by the clearance floor
+    where it can and by the exact distance elsewhere, in a pinned split,
+    and fills each cell's floor and rows once.  A collision test that fell
+    back to the exact distance would give the same mission more slowly;
+    the split pin catches it."""
     monkeypatch.setattr(worlds, "_WORLD_CACHE", {})
     lookups: list[tuple[_CellMemo, float, float, bool]] = []
+    floors: list[tuple[_CellMemo, float, float, float]] = []
+    exact: list[tuple[float, float]] = []
     fills: list[tuple[_CellMemo, int]] = []
+    floor_fills: list[tuple[_CellMemo, int]] = []
     full_scans: list[tuple[float, float]] = []
 
     rows, fill = _CellMemo.rows, _CellMemo._fill
+    floor, fill_floor = _CellMemo.floor, _CellMemo._fill_floor
+    min_distance = SegmentSoup.min_distance
     nearest_distance, nearest_segment = SegmentSoup.nearest_distance, Polyline.nearest_segment
 
     def spy_rows(memo, px, py, owner):
@@ -297,9 +385,22 @@ def test_serial_mission_is_answered_by_the_memo(monkeypatch):
         lookups.append((memo, px, py, found is not None))
         return found
 
+    def spy_floor(memo, px, py, owner):
+        found = floor(memo, px, py, owner)
+        floors.append((memo, px, py, found))
+        return found
+
     def spy_fill(memo, key, owner):
         fills.append((memo, key))
         return fill(memo, key, owner)
+
+    def spy_fill_floor(memo, key, owner):
+        floor_fills.append((memo, key))
+        return fill_floor(memo, key, owner)
+
+    def spy_min_distance(soup, point):
+        exact.append((float(point[0]), float(point[1])))
+        return min_distance(soup, point)
 
     def spy_distance(soup, px, py):
         if np.ndim(px) == 0:
@@ -312,7 +413,10 @@ def test_serial_mission_is_answered_by_the_memo(monkeypatch):
         return nearest_segment(line, px, py, segments)
 
     monkeypatch.setattr(_CellMemo, "rows", spy_rows)
+    monkeypatch.setattr(_CellMemo, "floor", spy_floor)
     monkeypatch.setattr(_CellMemo, "_fill", spy_fill)
+    monkeypatch.setattr(_CellMemo, "_fill_floor", spy_fill_floor)
+    monkeypatch.setattr(SegmentSoup, "min_distance", spy_min_distance)
     monkeypatch.setattr(SegmentSoup, "nearest_distance", spy_distance)
     monkeypatch.setattr(Polyline, "nearest_segment", spy_segment)
 
@@ -326,18 +430,29 @@ def test_serial_mission_is_answered_by_the_memo(monkeypatch):
     assert len(lookups) > 1000
     assert all(found for *_, found in lookups)
     assert full_scans == []
+    # One floor lookup per collision test: the floor decides most of them,
+    # and the exact distance answers the rest, and only those.
+    decided = sum(value > 0.3 for *_, value in floors)
+    assert (len(floors), decided, len(exact)) == (801, 338, 463)
+    assert [(px, py) for _, px, py, value in floors if not value > 0.3] == exact
     assert len(fills) == len(set(fills))
+    assert len(floor_fills) == len(set(floor_fills))
     visited = {(memo, _key(memo, px, py)) for memo, px, py, _ in lookups}
     assert set(fills) == visited
+    assert set(floor_fills) == {(memo, _key(memo, px, py)) for memo, px, py, _ in floors}
 
 
 def test_threads_share_one_fill_per_cell():
-    """Threads racing on a fresh world all read the rows the memo keeps,
-    and every answer is the full scan's."""
+    """Threads racing on a fresh world all read the rows and clearance
+    floors the memo keeps, and every answer is a sequential one's: the
+    full scan's distance and projection, and the floor of a second fresh
+    world filled by one thread."""
     world = s_shape_world()
+    reference = s_shape_world().walls
     points = [(float(px), float(py)) for px, py in seeded_points(world, 200)]
     expected = [
-        _hex(world.walls.nearest_distance(px, py)) + full_project(world.centerline, px, py)
+        _hex(world.walls.nearest_distance(px, py), reference.clearance_floor((px, py)))
+        + full_project(world.centerline, px, py)
         for px, py in points
     ]
     soup, line = world.walls, world.centerline
@@ -346,8 +461,11 @@ def test_threads_share_one_fill_per_cell():
     def worker():
         mine = []
         for px, py in points:
-            answer = _hex(soup.min_distance((px, py))) + memo_project(line, px, py)
-            mine.append((answer, soup._memo.rows(px, py, soup), line._memo.rows(px, py, line)))
+            floor = soup.clearance_floor((px, py))
+            answer = _hex(soup.min_distance((px, py)), floor) + memo_project(line, px, py)
+            mine.append(
+                (answer, floor, soup._memo.rows(px, py, soup), line._memo.rows(px, py, line))
+            )
         seen.append(mine)
 
     interval = sys.getswitchinterval()
@@ -363,9 +481,12 @@ def test_threads_share_one_fill_per_cell():
     assert not any(thread.is_alive() for thread in threads)
     assert len(seen) == len(threads)
     for mine in seen:
-        assert [answer for answer, _, _ in mine] == expected
-        for (px, py), (_, soup_rows, line_rows) in zip(points, mine):
-            assert soup_rows is soup._memo._cells[_key(soup._memo, px, py)]
+        assert [answer for answer, *_ in mine] == expected
+        for (px, py), (_, floor, soup_rows, line_rows) in zip(points, mine):
+            key = _key(soup._memo, px, py)
+            assert floor is soup._memo._floors[key]
+            assert soup_rows is soup._memo._cells[key]
             if line_rows is not None:  # the centerline's grid is smaller
                 assert line_rows is line._memo._cells[_key(line._memo, px, py)]
     assert len(line._memo._cells) > 50
+    assert len(soup._memo._floors) == len(soup._memo._cells) > 50

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.env.geometry import wrap_angle
 from repro.env.physics import (
     AccelCommand,
     DroneState,
     QuadrotorDynamics,
     QuadrotorParams,
 )
-from repro.env.worlds import tunnel_world
+from repro.env.worlds import s_shape_world, tunnel_world
 
 DT = 1.0 / 60.0
 
@@ -170,3 +174,88 @@ class TestParams:
         )
         step_n(dyn, AccelCommand(a_forward=6.0), 60 * 10)
         assert dyn.state.speed <= 2.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Same bits as the object-per-frame step
+# ---------------------------------------------------------------------------
+def reference_step(dyn: QuadrotorDynamics, command: AccelCommand, dt: float):
+    """``QuadrotorDynamics.step`` as written before it worked in locals:
+    a recovery ``AccelCommand``, a ``clipped`` one, builtin clamps and
+    the ``recovering`` and ``speed`` properties, on ``dyn``'s state."""
+    p = dyn.params
+    st = dyn.state
+    if dyn.recovering:
+        command = AccelCommand(
+            a_forward=-st.u / max(p.recovery_time * 0.5, dt),
+            a_lateral=-st.v / max(p.recovery_time * 0.5, dt),
+            a_vertical=-st.vz / max(p.recovery_time * 0.5, dt),
+            yaw_accel=-st.r / max(p.recovery_time * 0.5, dt),
+        )
+    clipped = AccelCommand(
+        a_forward=min(max(command.a_forward, -p.max_linear_accel), p.max_linear_accel),
+        a_lateral=min(max(command.a_lateral, -p.max_linear_accel), p.max_linear_accel),
+        a_vertical=min(max(command.a_vertical, -p.max_vertical_accel), p.max_vertical_accel),
+        yaw_accel=min(max(command.yaw_accel, -p.max_yaw_accel), p.max_yaw_accel),
+    )
+    alpha = dt / (p.actuator_tau + dt)
+    ap = dyn._applied
+    ap.a_forward += alpha * (clipped.a_forward - ap.a_forward)
+    ap.a_lateral += alpha * (clipped.a_lateral - ap.a_lateral)
+    ap.a_vertical += alpha * (clipped.a_vertical - ap.a_vertical)
+    ap.yaw_accel += alpha * (clipped.yaw_accel - ap.yaw_accel)
+    st.u += (ap.a_forward - p.linear_drag * st.u) * dt
+    st.v += (ap.a_lateral - p.linear_drag * st.v) * dt
+    st.vz += (ap.a_vertical - p.linear_drag * st.vz) * dt
+    st.r += (ap.yaw_accel - p.yaw_drag * st.r) * dt
+    speed = st.speed
+    if speed > p.max_speed:
+        scale = p.max_speed / speed
+        st.u *= scale
+        st.v *= scale
+    st.r = min(max(st.r, -p.max_yaw_rate), p.max_yaw_rate)
+    st.yaw = wrap_angle(st.yaw + st.r * dt)
+    c, s = math.cos(st.yaw), math.sin(st.yaw)
+    new_x = st.x + (st.u * c - st.v * s) * dt
+    new_y = st.y + (st.u * s + st.v * c) * dt
+    st.z += st.vz * dt
+    course = dyn.world.course_if_clear(np.array([new_x, new_y]), p.collision_radius)
+    if course is None:
+        if not dyn.recovering:
+            dyn._handle_collision(new_x, new_y)
+    else:
+        st.x, st.y = new_x, new_y
+    dyn.time += dt
+    return course
+
+
+def _bits(dyn: QuadrotorDynamics, course) -> tuple:
+    floats = dataclasses.astuple(dyn.state) + dataclasses.astuple(dyn._applied)
+    floats += (dyn.time, dyn._recovery_until) + (course or ())
+    return tuple(float(v).hex() for v in floats) + (len(dyn.collisions),)
+
+
+#: Body-frame accelerations: in and beyond the limits, signed zeros.
+ACCEL = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 6.0, -6.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    commands=st.lists(st.tuples(ACCEL, ACCEL, ACCEL, ACCEL), min_size=1, max_size=12),
+    frames=st.integers(1, 40),
+    yaw=st.floats(-math.pi, math.pi),
+    world=st.sampled_from(["tunnel", "s-shape"]),
+)
+def test_step_matches_reference(commands, frames, yaw, world):
+    """Every float of the state, the actuator state, the clock, the
+    recovery deadline and the returned course, frame by frame, through
+    wall collisions, recovery and the speed limit."""
+    built = tunnel_world() if world == "tunnel" else s_shape_world()
+    start = DroneState(x=5.0, y=0.5, z=1.5, yaw=yaw, u=8.0)
+    dyn = QuadrotorDynamics(built, initial_state=start)
+    reference = QuadrotorDynamics(built, initial_state=start)
+    for a_f, a_l, a_v, yaw_accel in commands:
+        command = AccelCommand(a_f, a_l, a_v, yaw_accel)
+        for _ in range(frames):
+            course = dyn.step(command, DT)
+            assert _bits(dyn, course) == _bits(reference, reference_step(reference, command, DT))

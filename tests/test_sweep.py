@@ -98,10 +98,10 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = _tiny_config(0)
-        assert cache.get(config) is None
+        assert cache.get(config_key(config)) is None
         result = run_mission(config)
-        cache.put(config, result)
-        again = cache.get(config)
+        cache.put(config_key(config), result)
+        again = cache.get(config_key(config))
         assert again is not None
         assert mission_signature(again) == mission_signature(result)
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1, "corrupt": 0}
@@ -109,16 +109,16 @@ class TestResultCache:
     def test_entries_scoped_by_fingerprint(self, tmp_path):
         config = _tiny_config(0)
         cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        cache.put(config, run_mission(config))
+        cache.put(config_key(config), run_mission(config))
         other = ResultCache(tmp_path, fingerprint="b" * 64)
-        assert other.get(config) is None
+        assert other.get(config_key(config)) is None
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = _tiny_config(0)
-        path = cache.put(config, run_mission(config))
+        path = cache.put(config_key(config), run_mission(config))
         path.write_bytes(b"not a pickle")
-        assert cache.get(config) is None
+        assert cache.get(config_key(config)) is None
         assert not path.exists()  # key vacated for the recompute
         quarantined = path.with_name(path.name + ".corrupt")
         assert quarantined.is_file()  # evidence preserved, not deleted
@@ -135,11 +135,11 @@ class TestResultCache:
         config = _tiny_config(0)
         result = run_mission(config)
         stale = ResultCache(tmp_path, fingerprint="c" * 64)
-        stale.put(config, result)
+        stale.put(config_key(config), result)
         live = ResultCache(tmp_path)
-        live.put(config, result)
+        live.put(config_key(config), result)
         assert live.prune() == 1
-        assert live.get(config) is not None
+        assert live.get(config_key(config)) is not None
 
     def test_stage_timings_recorded(self):
         result = run_mission(_tiny_config(0))
@@ -191,15 +191,15 @@ class TestCacheKeyCoversFullConfig:
 
         cache = ResultCache(tmp_path)
         clean = _tiny_config(0)
-        cache.put(clean, run_mission(clean))
+        cache.put(config_key(clean), run_mission(clean))
         faulty = replace(clean, faults=FaultPlan.sensor_response_drop(0.5, seed=1))
-        assert cache.get(faulty) is None  # must NOT serve the clean result
+        assert cache.get(config_key(faulty)) is None  # must NOT serve the clean result
 
     def test_no_stale_hit_across_invariant_flag(self, tmp_path):
         cache = ResultCache(tmp_path)
         on = _tiny_config(0)
-        cache.put(on, run_mission(on))
-        assert cache.get(replace(on, check_invariants=True)) is None
+        cache.put(config_key(on), run_mission(on))
+        assert cache.get(config_key(replace(on, check_invariants=True))) is None
 
 
 class TestSweepResume:
@@ -212,7 +212,7 @@ class TestSweepResume:
 
         # Damage exactly one entry on disk.
         cache = ResultCache(tmp_path)
-        corrupt_path = cache._path(cache.key_for(configs[0]))
+        corrupt_path = cache._path(config_key(configs[0]))
         assert corrupt_path.is_file()
         corrupt_path.write_bytes(b"\x00 damaged pickle \x00")
 
