@@ -121,6 +121,8 @@ class RoseBridge:
 
     def host_collect(self) -> list[DataPacket]:
         """Drain the TX queue (SoC -> host)."""
+        if not self._tx:
+            return []
         packets = list(self._tx)
         self._tx.clear()
         self._tx_bytes = 0

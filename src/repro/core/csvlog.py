@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Callable
+from typing import ClassVar, NamedTuple
 
 
-@dataclass
-class SyncLogRow:
-    """One synchronization step's log record."""
+class _SyncLogColumns(NamedTuple):
+    """The CSV columns of one synchronization step's record, in order."""
 
     step: int
     sim_time: float
@@ -40,38 +38,19 @@ class SyncLogRow:
     packets_corrupted: int = 0
     retries: int = 0
 
-    FIELDS = (
-        "step",
-        "sim_time",
-        "x",
-        "y",
-        "z",
-        "yaw",
-        "speed",
-        "course_s",
-        "course_d",
-        "collisions",
-        "camera_requests",
-        "imu_requests",
-        "depth_requests",
-        "target_v_forward",
-        "target_v_lateral",
-        "target_yaw_rate",
-        "packets_dropped",
-        "packets_corrupted",
-        "retries",
-    )
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return _row_values(self)
+class SyncLogRow(_SyncLogColumns):
+    """One synchronization step's log record.
 
-    def __reduce__(self) -> tuple[type[SyncLogRow], tuple[float, ...]]:
-        # Positional (FIELDS is the declaration order): a pickled row
-        # carries no field names and loads in one constructor call.
-        return (type(self), _row_values(self))
+    A row is a tuple of its columns in :attr:`FIELDS` order, so it is its
+    own CSV record, canonical payload row and positional pickle (no field
+    names in it).  (A ``NamedTuple`` body declares fields only; the
+    column list is a class constant of this subclass.)
+    """
 
+    __slots__ = ()
 
-_row_values: Callable[[SyncLogRow], tuple[Any, ...]] = attrgetter(*SyncLogRow.FIELDS)
+    FIELDS: ClassVar[tuple[str, ...]] = _SyncLogColumns._fields
 
 
 @dataclass
@@ -90,8 +69,7 @@ class SyncLogger:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(SyncLogRow.FIELDS)
-        for row in self.rows:
-            writer.writerow(row.as_tuple())
+        writer.writerows(self.rows)
         return buffer.getvalue()
 
     def write(self, path: str) -> None:

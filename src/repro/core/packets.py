@@ -31,6 +31,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Callable, overload
 
 from repro.errors import PacketError
 
@@ -124,6 +125,37 @@ _PAYLOAD_SIZES: dict[PacketType, tuple[int, int]] = {
 }
 
 
+class _SizeOnce:
+    """A packet's size, measured on its first read and then kept.
+
+    ``functools.cached_property`` does the same, but before Python 3.12 it
+    takes a lock on every first read, which costs more than the repeat
+    reads save.  The first read stores the size in the packet's
+    ``__dict__`` (a frozen dataclass has one), where every later read finds
+    it without calling this non-data descriptor.  Equality, hashing and
+    ``dataclasses.fields`` ignore the stored size.
+    """
+
+    def __init__(self, measure: Callable[[DataPacket], int]) -> None:
+        self._measure = measure
+        self._name = measure.__name__
+        self.__doc__ = measure.__doc__
+
+    @overload
+    def __get__(self, packet: None, owner: type | None = None) -> _SizeOnce:
+        ...
+
+    @overload
+    def __get__(self, packet: DataPacket, owner: type | None = None) -> int:
+        ...
+
+    def __get__(self, packet: DataPacket | None, owner: type | None = None) -> _SizeOnce | int:
+        if packet is None:
+            return self
+        size = packet.__dict__[self._name] = self._measure(packet)
+        return size
+
+
 @dataclass(frozen=True)
 class DataPacket:
     """A decoded packet: type plus either typed fields or raw payload."""
@@ -132,8 +164,11 @@ class DataPacket:
     values: tuple[float, ...] = ()
     raw: bytes = b""
 
-    @property
+    @_SizeOnce
     def payload_bytes(self) -> int:
+        # Measured once per packet (a frozen packet's size never changes):
+        # the bridge and the SoC's MMIO cost path ask for it four times on
+        # each way through the bridge.
         # Size from the layout table when the shape is well-formed (the
         # overwhelmingly common case) — a full encode just to measure a
         # packet is pure overhead on the SoC's MMIO cost path.  Anything

@@ -75,6 +75,10 @@ _DEPTH_REQ = PacketType.DEPTH_REQ
 _LIDAR_REQ = PacketType.LIDAR_REQ
 _STATE_REQ = PacketType.STATE_REQ
 _TARGET_CMD = PacketType.TARGET_CMD
+#: ``SyncStats.link_packets`` keys of the request counts each CSV row logs.
+_CAMERA_REQUESTS = ("from_rtl", _CAMERA_REQ)
+_IMU_REQUESTS = ("from_rtl", _IMU_REQ)
+_DEPTH_REQUESTS = ("from_rtl", _DEPTH_REQ)
 
 
 class StepRecord(TypedDict):
@@ -258,11 +262,11 @@ class Synchronizer:
         """Algorithm 1's first phase: translate the SoC I/O packets that
         arrived during the previous period into environment API calls.
 
-        :meth:`step` begins with this call.  A caller may make it earlier,
-        while the environment still holds its pre-advance state: the
-        batched engine does, so that the velocity targets a step
-        dispatches are applied before its batched advance.  The step's
-        own call then finds nothing left to dispatch, and no packet is
+        :meth:`step` begins with this call when packets are pending.  A
+        caller may make it earlier, while the environment still holds its
+        pre-advance state: the batched engine does, so that the velocity
+        targets a step dispatches are applied before its batched advance.
+        The step then finds nothing left to dispatch, and no packet is
         served twice.  The fault plan's ``begin_step`` runs in
         :meth:`step` before this call, so dispatching ahead of the step
         is only sound without a fault plan; the engine's lanes never
@@ -370,11 +374,13 @@ class Synchronizer:
         timer = self.stage_timer
         if timer is not None:
             step_t0 = wall_clock()
-            env_before = timer.get("env_step")
-            soc_before = timer.get("soc_step")
+            charged = timer.seconds
+            env_before = charged["env_step"]
+            soc_before = charged["soc_step"]
 
         # % Translate IO packets into AirSim APIs %
-        self.dispatch_pending()
+        if self._pending_rtl:
+            self.dispatch_pending()
 
         # % Allocate tokens to start AirSim and FireSim %
         step_index = self.stats.steps
@@ -418,8 +424,8 @@ class Synchronizer:
             self.logger.log(self._log_row(record))
         if timer is not None:
             total = wall_clock() - step_t0
-            env_seconds = timer.get("env_step") - env_before
-            soc_seconds = timer.get("soc_step") - soc_before
+            env_seconds = charged["env_step"] - env_before
+            soc_seconds = charged["soc_step"] - soc_before
             timer.add("sync_overhead", max(total - env_seconds - soc_seconds, 0.0))
 
     def _regrant(self, step_index: int, regrants: int) -> int:
@@ -490,9 +496,12 @@ class Synchronizer:
         self, step_index: int, host: FireSimHost, link: InProcessTransport
     ) -> None:
         """Run the step granted by call and read its completion back from
-        the host: the lossless link's SYNC_DONE, without the frame."""
+        the host: the lossless link's SYNC_DONE, without the frame.
+
+        The link is drained only when the SoC sent something this step."""
         self._service_host(host)
-        self._drain(step_index)
+        if link.pending:
+            self._drain(step_index)
         done = host.last_done
         if done is None or done[0] != step_index:
             # Nothing is lost in process: an unanswered grant is a bug.
@@ -501,7 +510,9 @@ class Synchronizer:
                 f"(last completed: {done})"
             )
         link.peer.charge(_DONE_FRAME)
-        self._accept_done(step_index)
+        self.stats.sync_done_ok += 1
+        if self.invariants is not None:
+            self.invariants.on_done(step_index)
 
     def _wait_for_sync_done(self, step_index: int) -> None:
         """Poll for this step's SYNC_DONE, surviving a lossy link.
@@ -551,28 +562,34 @@ class Synchronizer:
     def _log_row(self, record: StepRecord) -> SyncLogRow:
         """This step's CSV row, from the advance's record (no RPC)."""
         stats = self.stats
+        packets = stats.link_packets
         target = stats.last_target
         faults = self.faults
+        if faults is None:
+            dropped = corrupted = 0
+        else:
+            dropped = faults.total("drop")
+            corrupted = faults.total("corrupt")
         return SyncLogRow(
-            step=stats.steps,
-            sim_time=self.sim_time,
-            x=record["x"],
-            y=record["y"],
-            z=record["z"],
-            yaw=record["yaw"],
-            speed=record["speed"],
-            course_s=record["s"],
-            course_d=record["d"],
-            collisions=record["collisions"],
-            camera_requests=stats.camera_requests,
-            imu_requests=stats.imu_requests,
-            depth_requests=stats.depth_requests,
-            target_v_forward=target[0],
-            target_v_lateral=target[1],
-            target_yaw_rate=target[2],
-            packets_dropped=faults.total("drop") if faults is not None else 0,
-            packets_corrupted=faults.total("corrupt") if faults is not None else 0,
-            retries=stats.sync_regrants,
+            stats.steps,
+            self.sim_time,
+            record["x"],
+            record["y"],
+            record["z"],
+            record["yaw"],
+            record["speed"],
+            record["s"],
+            record["d"],
+            record["collisions"],
+            packets.get(_CAMERA_REQUESTS, 0),
+            packets.get(_IMU_REQUESTS, 0),
+            packets.get(_DEPTH_REQUESTS, 0),
+            target[0],
+            target[1],
+            target[2],
+            dropped,
+            corrupted,
+            stats.sync_regrants,
         )
 
     # ------------------------------------------------------------------

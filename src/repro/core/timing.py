@@ -25,7 +25,7 @@ uninstrumented ones.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports core)
     from repro.app.perception import Perception
@@ -33,15 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports core)
     from repro.dnn.calibrated import TrailInference
 
 
-def wall_clock() -> float:
-    """Monotonic wall-clock seconds — the blessed read for stage accounting.
-
-    Simulation code must not read host time directly (lint rule DET002):
-    results would depend on host speed.  Code charging wall time to a
-    :class:`StageTimer` imports this instead, which keeps every
-    wall-clock read in the one module that is allowed to make them.
-    """
-    return perf_counter()
+#: Monotonic wall-clock seconds — the blessed read for stage accounting.
+#:
+#: Simulation code must not read host time directly (lint rule DET002):
+#: results would depend on host speed.  Code charging wall time to a
+#: :class:`StageTimer` imports this instead, which keeps every wall-clock
+#: read in the one module that is allowed to make them.  It is
+#: ``time.perf_counter`` itself, so each read is one C call.
+wall_clock: Callable[[], float] = perf_counter
 
 
 class StageTimer:

@@ -147,6 +147,18 @@ class InProcessTransport(Transport):
         self.packets_sent += 1
         self._outbox.append(wire)
 
+    @property
+    def pending(self) -> bool:
+        """Whether anything waits at this end to be received."""
+        return bool(self._inbox)
+
+    def drain(self) -> list[DataPacket]:
+        if self._closed:
+            raise TransportError("recv on closed transport")
+        if not self._inbox:
+            return []
+        return super().drain()
+
     def recv(self) -> DataPacket | None:
         if self._closed:
             raise TransportError("recv on closed transport")

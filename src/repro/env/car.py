@@ -136,7 +136,7 @@ class CarDynamics:
 
         new_x = st.x + st.u * math.cos(st.yaw) * dt
         new_y = st.y + st.u * math.sin(st.yaw) * dt
-        course = self.world.course_if_clear(np.array([new_x, new_y]), p.collision_radius)
+        course = self.world.course_if_clear((new_x, new_y), p.collision_radius)
         if course is None:
             if not self.recovering:
                 self._handle_collision(new_x, new_y)

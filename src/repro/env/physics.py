@@ -121,9 +121,6 @@ class QuadrotorDynamics:
         self._recovery_until = -1.0
         # First-order actuator state (the accelerations actually realized).
         self._applied = AccelCommand()
-        # Scratch buffer for the per-frame collision test; the world never
-        # retains the array it is probed with.
-        self._collision_probe = np.empty(2, dtype=float)
 
     @property
     def recovering(self) -> bool:
@@ -223,10 +220,8 @@ class QuadrotorDynamics:
         new_y = st.y + (u * s + v * c) * dt
         st.z += vz * dt
 
-        pos = self._collision_probe
-        pos[0] = new_x
-        pos[1] = new_y
-        course = self.world.course_if_clear(pos, p.collision_radius)
+        # A plain 2-tuple: every world query reads ``float(point[i])``.
+        course = self.world.course_if_clear((new_x, new_y), p.collision_radius)
         if course is None:
             if not recovering:
                 self._handle_collision(new_x, new_y)

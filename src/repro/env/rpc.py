@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports env)
     from repro.core.synchronizer import StepRecord
 
 #: Argument types whose JSON round trip is the identity.
-_JSON_SCALARS = (int, float, bool, str, type(None))
+_JSON_SCALARS = frozenset({int, float, bool, str, type(None)})
 
 
 @dataclass
@@ -83,7 +83,7 @@ class RpcServer:
             handler = self._handlers[method]
         except KeyError:
             raise SimulationError(f"unknown RPC method {method!r}") from None
-        if args and any(type(arg) not in _JSON_SCALARS for arg in args):
+        if args and not _JSON_SCALARS.issuperset(map(type, args)):
             # Round-trip the arguments through JSON: anything that cannot
             # be marshalled must fail here, at the boundary, not deep
             # inside.  No arguments or scalars only round-trip as the

@@ -139,10 +139,13 @@ class World:
         return self.course_if_clear(position, radius) is None
 
     def course_if_clear(
-        self, position: np.ndarray, radius: float
+        self, position: np.ndarray | tuple[float, float], radius: float
     ) -> tuple[float, float] | None:
         """:meth:`in_collision` that keeps its projection: ``(s, d)`` of a
         collision-free ``position``, ``None`` for a colliding one.
+
+        ``position`` may be a plain ``(x, y)`` tuple, as the per-frame
+        dynamics pass it: the queries read its two coordinates as floats.
 
         The wall test is ``wall_clearance(position) <= radius``.  Where the
         position's clearance floor exceeds ``radius`` that test is proved

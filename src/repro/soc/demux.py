@@ -63,15 +63,29 @@ class IoDemux:
         mailboxes rather than dropped.  With ``timeout_cycles`` the wait is
         bounded and returns ``None`` on expiry (the caller's degradation
         path); the default wait is indefinite.
+
+        A bounded wait is measured in target cycles: the ``CYCLE``
+        register is read when the wait starts and after each raw-FIFO
+        chunk, and the last chunk's own timeout is capped at the cycles
+        left.  (A chunk's backoff sleeps overshoot its timeout, so
+        counting chunks would let the wait run long.)  It returns ``None``
+        at or after its deadline, less than one chunk's sleeps past it.
         """
-        waited = 0
+        bounded = timeout_cycles is not None
+        if bounded:
+            start = now = yield from rt.current_cycle()
+        chunk = self.POLL_CHUNK_CYCLES
         while True:
             if self.pending(ptype):
                 return self.take(ptype)
-            if timeout_cycles is not None and waited >= timeout_cycles:
-                return None
-            packet = yield from rt.recv_packet(timeout_cycles=self.POLL_CHUNK_CYCLES)
-            waited += self.POLL_CHUNK_CYCLES
+            if bounded:
+                left = timeout_cycles - (now - start)
+                if left <= 0:
+                    return None
+                chunk = min(self.POLL_CHUNK_CYCLES, left)
+            packet = yield from rt.recv_packet(timeout_cycles=chunk)
+            if bounded:
+                now = yield from rt.current_cycle()
             if packet is not None:
                 self.deliver(packet)
 

@@ -55,7 +55,9 @@ class TargetRuntime:
     Stateless; all state lives in the SoC engine that interprets the
     yielded ops, the poll loop of a receive wait included.  Polls start
     every ``calib.TARGET_POLL_INTERVAL_CYCLES`` and back off to
-    :data:`MAX_POLL_INTERVAL_CYCLES`.
+    :data:`MAX_POLL_INTERVAL_CYCLES`.  The helpers yield their ops
+    directly rather than through ``yield from`` the primitives, which
+    would cost a generator per op.
     """
 
     # -- primitives ------------------------------------------------------
@@ -66,15 +68,13 @@ class TargetRuntime:
         yield ("cpu", int(cycles))
 
     def mmio_read(self, reg: int):
-        value = yield ("mmio_read", reg)
-        return value
+        return (yield ("mmio_read", reg))
 
     def mmio_write(self, reg: int, value):
         yield ("mmio_write", reg, value)
 
     def current_cycle(self):
-        value = yield from self.mmio_read(REG_CYCLE)
-        return value
+        return (yield ("mmio_read", REG_CYCLE))
 
     # -- composite I/O helpers --------------------------------------------
     def recv_packet(self, timeout_cycles: int | None = None):
@@ -109,7 +109,7 @@ class TargetRuntime:
     def send_packet(self, packet: DataPacket):
         """Push a packet to the TX queue, waiting for space if needed."""
         while True:
-            space = yield from self.mmio_read(REG_TX_SPACE)
+            space = yield ("mmio_read", REG_TX_SPACE)
             if space >= packet.payload_bytes:
                 break
             yield ("delay", calib.TARGET_POLL_INTERVAL_CYCLES)

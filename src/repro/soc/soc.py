@@ -338,11 +338,6 @@ class Soc:
     def _next_ready(self) -> TargetTask | None:
         """Round-robin pick of a ready task."""
         n = len(self.tasks)
-        if n == 1:
-            # Fast path: single-program SoCs (no background tenants) are
-            # the common case, and round-robin over one task is identity.
-            task = self.tasks[0]
-            return task if task.ready(self.cycle) else None
         for offset in range(n):
             task = self.tasks[(self._rr_index + offset) % n]
             if task.ready(self.cycle):
@@ -353,7 +348,25 @@ class Soc:
     def _schedule_core(self) -> None:
         """Fetch ops from ready tasks until one claims the core (or none
         can).  Tasks whose next op is a ``delay`` go to sleep and the
-        scheduler moves on."""
+        scheduler moves on.
+
+        A single-program SoC (no background tenant) is the common case,
+        and round-robin over one task is the identity, so the lone task's
+        readiness (:meth:`TargetTask.ready`) is tested inline here."""
+        if len(self.tasks) != 1:
+            self._schedule_round_robin()
+            return
+        task = self.tasks[0]
+        while self._core_task is None and task.pending is None and not task.halted:
+            wake_at = task.wake_at
+            if wake_at is not None and wake_at > self.cycle:
+                return
+            self._fetch_op(task)
+            if task.pending is not None:
+                self._core_task = task
+
+    def _schedule_round_robin(self) -> None:
+        """:meth:`_schedule_core` for any number of tasks."""
         while self._core_task is None:
             task = self._next_ready()
             if task is None:
@@ -376,7 +389,8 @@ class Soc:
             raise TargetProgramError("no program loaded")
         end = self._window_end = self.cycle + budget
         while self.cycle < end:
-            self._schedule_core()
+            if self._core_task is None:
+                self._schedule_core()
             if self._core_task is not None:
                 task = self._core_task
                 cost, effect, fraction = task.pending

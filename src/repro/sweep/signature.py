@@ -90,9 +90,8 @@ def canonical_payload(result: MissionResult) -> dict[str, Any]:
         ],
     }
     if result.logger is not None:
-        payload["op_stream"] = [
-            texts.floats(row.as_tuple()) for row in result.logger.rows
-        ]
+        # A row is a tuple in column order (``SyncLogRow``).
+        payload["op_stream"] = [texts.floats(row) for row in result.logger.rows]
     stats = result.sync_stats
     if stats is not None:
         payload["sync_stats"] = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.config import CoSimConfig, SyncConfig
@@ -111,6 +113,22 @@ class TestCsvLogger:
         loaded = SyncLogger.read(str(path))
         assert len(loaded) == 5
         assert loaded.rows[3] == logger.rows[3]
+
+    def test_rows_stay_rows_through_csv_and_pickle(self, tmp_path):
+        logger = SyncLogger()
+        for step in range(3):
+            logger.log(sample_row(step)._replace(packets_dropped=step, retries=1))
+        path = tmp_path / "log.csv"
+        logger.write(str(path))
+        for twin in (
+            SyncLogger.read(str(path)),
+            pickle.loads(pickle.dumps(logger, protocol=pickle.HIGHEST_PROTOCOL)),
+        ):
+            assert twin.rows == logger.rows
+            for got, want in zip(twin.rows, logger.rows):
+                assert type(got) is SyncLogRow
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert got.packets_dropped == want.packets_dropped
 
     def test_fields_cover_artifact_columns(self):
         # "CSV logs from the synchronizer, tracking UAV dynamics, sensing

@@ -147,6 +147,26 @@ class TestCameraPackets:
         packet = pk.camera_response(10, 10, 0.0, 0.0, 0.0, 1.6, pixels)
         assert packet.payload_bytes == pk.CAMERA_META_SIZE + 100
 
+    def test_payload_bytes_is_measured_once(self, monkeypatch):
+        measured = []
+        size_once = vars(DataPacket)["payload_bytes"]
+        measure = size_once._measure
+        monkeypatch.setattr(size_once, "_measure", lambda p: measured.append(p) or measure(p))
+        packet = pk.imu_response(1.0, 2.0, 3.0, 4.0, 5.0)
+        twin = pk.imu_response(1.0, 2.0, 3.0, 4.0, 5.0)
+        sizes = [packet.payload_bytes for _ in range(4)]
+        assert sizes == [len(pk.encode_payload(packet))] * 4
+        assert measured == [packet]
+        # The kept size is no field: equality and hashing ignore it.
+        assert packet == twin and hash(packet) == hash(twin)
+        assert twin.payload_bytes == sizes[0] and len(measured) == 2
+
+    def test_malformed_payload_bytes_raises_every_read(self):
+        packet = DataPacket(PacketType.DEPTH_RESP, (1.0, 2.0))
+        for _ in range(2):
+            with pytest.raises(PacketError):
+                _ = packet.payload_bytes
+
 
 class TestEncodingErrors:
     def test_wrong_value_count_rejected(self):

@@ -4,15 +4,16 @@ Each is checked against a plain reference kept here:
 
 * ``canonical_payload`` against one ``_num`` call per value (its memo of
   float texts must not merge ``0.0`` with ``-0.0``);
-* the positional pickles of ``TrajectorySample``, ``SyncLogRow`` and
-  ``InferenceRecord`` (equal after a round trip, same types, same float
-  bits, and no field names in the pickle);
+* the positional pickles of ``TrajectorySample``, ``SyncLogRow`` (a
+  tuple) and ``InferenceRecord`` (equal after a round trip, same types,
+  same float bits, and no field names in the pickle);
 * ``config_to_dict`` against the ``dataclasses.asdict`` form.
 """
 
 from __future__ import annotations
 
 import copy
+import copyreg
 import json
 import math
 import pickle
@@ -177,7 +178,7 @@ class TestCanonicalPayload:
         result = replace(
             short_mission,
             trajectory=samples,
-            logger=SyncLogger(rows=[row, replace(row, sim_time=0.0, x=-0.0)]),
+            logger=SyncLogger(rows=[row, row._replace(sim_time=0.0, x=-0.0)]),
         )
         payload = canonical_payload(result)
         assert payload["trajectory"] == [
@@ -269,10 +270,18 @@ _RECORDS = [
 ]
 
 
+def _field_names(record) -> tuple[str, ...]:
+    """A record's fields in declaration order: the row's columns, or the
+    dataclass fields of the others."""
+    if isinstance(record, SyncLogRow):
+        return SyncLogRow.FIELDS
+    return tuple(f.name for f in fields(record))
+
+
 class TestRecordPickles:
     @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
     def test_round_trips_keep_values_types_and_bits(self, record):
-        names = [f.name for f in fields(record)]
+        names = _field_names(record)
         for twin in (
             pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)),
             pickle.loads(pickle.dumps(record, protocol=2)),
@@ -292,12 +301,24 @@ class TestRecordPickles:
 
     @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
     def test_reduce_lists_every_field_in_declaration_order(self, record):
-        cls, args = record.__reduce__()
+        reduced = record.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        if isinstance(record, tuple):
+            # A tuple row loads as ``cls.__new__(cls, *values)``, with no
+            # per-instance state.
+            factory, (cls, *args), *state = reduced
+            assert factory is copyreg.__newobj__
+            assert all(part is None for part in state)
+            args = tuple(args)
+        else:
+            cls, args = reduced
         assert cls is type(record)
-        assert args == tuple(getattr(record, f.name) for f in fields(record))
+        assert args == tuple(getattr(record, name) for name in _field_names(record))
 
     def test_log_row_fields_are_the_declaration_order(self):
-        assert SyncLogRow.FIELDS == tuple(f.name for f in fields(SyncLogRow))
+        assert SyncLogRow.FIELDS == SyncLogRow._fields
+        positions = range(len(SyncLogRow.FIELDS))
+        row = SyncLogRow(*positions)
+        assert [getattr(row, name) for name in SyncLogRow.FIELDS] == list(positions)
 
     def test_pickled_rows_hold_no_field_names(self, short_mission):
         rows = pickle.dumps(short_mission.logger.rows, protocol=pickle.HIGHEST_PROTOCOL)

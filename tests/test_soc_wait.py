@@ -11,7 +11,15 @@ This is an exactness contract.  After every ``Soc.step`` the cycle, every
 ``SocCounters`` field and each task's ``wake_at``, pending remainder and
 ``halted`` must equal those of two op-by-op runs: the engine with the skip
 patched out, and the loop written as target code (one yielded op per
-read, pop and delay).
+read, pop and delay).  The same comparison covers the lone task's op
+path: ``Soc._schedule_core`` tests a single task's readiness inline, and
+must fetch exactly what the general round-robin scheduler
+(``Soc._schedule_round_robin``, patched in) fetches.
+
+``IoDemux.recv``'s bounded wait is checked here too, on a bare SoC: it
+returns ``None`` at or after its deadline and less than one raw-FIFO
+chunk's backoff sleeps (62,000 cycles) past it, and an unbounded wait
+issues the ops of the loop it replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.core.faults import FaultPlan
 from repro.core.packets import PacketType
 from repro.soc.calib import TARGET_POLL_INTERVAL_CYCLES
 from repro.soc.cpu import core_by_name
+from repro.soc.demux import IoDemux
 from repro.soc.iodev import REG_RX_COUNT, REG_RX_DATA
 from repro.soc.program import MAX_POLL_INTERVAL_CYCLES, TargetRuntime
 from repro.soc.soc import CONFIG_A, CONFIG_B, Soc
@@ -74,8 +83,10 @@ def short_one_read(soc, wait):
         soc.counters.cpu_busy_cycles -= soc.cpu.mmio_access_cycles
 
 
-#: Three ways to run the same programs; the first is the reference.
-MODES = ("op-by-op", "target-loop", "skip")
+#: Four ways to run the same programs; the first is the reference.  The
+#: last runs the shipped skip under the general round-robin scheduler in
+#: place of the lone task's op path.
+MODES = ("op-by-op", "target-loop", "skip", "round-robin")
 
 
 @contextmanager
@@ -87,6 +98,8 @@ def engine(mode, skip=SKIP):
             mp.setattr(TargetRuntime, "recv_packet", reference_recv_packet)
         else:
             mp.setattr(Soc, "_skip_futile_polls", skip)
+            if mode == "round-robin":
+                mp.setattr(Soc, "_schedule_core", Soc._schedule_round_robin)
         yield
 
 
@@ -404,7 +417,7 @@ def fly_mission(config, mode):
 def test_mission_windows_match_op_by_op(name):
     config, lone = MISSIONS[name]
     states, signature, _ = fly_mission(config, "op-by-op")
-    for mode in ("skip", "target-loop"):
+    for mode in ("skip", "target-loop", "round-robin"):
         got_states, got_signature, skipped = fly_mission(config, mode)
         assert len(got_states) == len(states), mode
         assert got_states == states, mode
@@ -412,6 +425,123 @@ def test_mission_windows_match_op_by_op(name):
         if mode == "skip":
             # The skip does work on a lone task, and none beside a neighbour.
             assert (skipped > 0) == lone
+
+
+# ---------------------------------------------------------------------------
+# The lone task's op path: every kind of op, at every window boundary
+# ---------------------------------------------------------------------------
+def mixed_ops(results):
+    """Programs: one task cycling through each primitive op and the
+    runtime helpers, with costs that land ops across window ends."""
+
+    def program(rt):
+        while True:
+            yield from rt.delay(7_000)
+            yield from rt.compute(12_345)
+            results.append((yield from rt.current_cycle()))
+            yield from rt.send_packet(pk.depth_request())
+            packet = yield from rt.recv_packet(40_000)
+            results.append(packet)
+            yield from rt.delay(0)
+            results.append((yield from rt.mmio_read(REG_RX_COUNT)))
+
+    return [("main", program)]
+
+
+@BOTH_CORES
+def test_lone_task_path_fetches_what_round_robin_fetches(config):
+    # Odd window lengths put every op kind across some boundary.
+    windows = [(budget, ()) for budget in (1, 29, 31, 6_999, 7_001, 20_000, 33_333)]
+    windows += [(WINDOW, depth(2.0)), (3, ()), (WINDOW, ())]
+    runs = fly_all(mixed_ops, windows, config)
+    assert_same(runs)
+    assert any(isinstance(value, pk.DataPacket) for value in runs["round-robin"].results)
+
+
+def test_lone_task_halts_as_round_robin_halts():
+    def build(results):
+        def program(rt):
+            yield from rt.compute(100)
+            results.append((yield from rt.current_cycle()))
+
+        return [("main", program)]
+
+    runs = fly_all(build, [(50, ()), (200, ()), (WINDOW, ())])
+    assert_same(runs)
+    assert runs["skip"].states[-1][2] == ((None, None, True),)
+
+
+# ---------------------------------------------------------------------------
+# IoDemux: a bounded wait ends by target cycles
+# ---------------------------------------------------------------------------
+#: One raw-FIFO chunk's backoff sleeps: 2,000 doubled until they reach
+#: ``IoDemux.POLL_CHUNK_CYCLES`` (2,000 + 4,000 + ... + 32,000).
+CHUNK_SLEEPS = 62_000
+
+
+def reference_demux_recv(demux, rt, ptype):
+    """The unbounded demux wait as it was written before waits were
+    bounded by cycles: pop raw-FIFO chunks until ``ptype`` is sorted."""
+    while True:
+        if demux.pending(ptype):
+            return demux.take(ptype)
+        packet = yield from rt.recv_packet(timeout_cycles=IoDemux.POLL_CHUNK_CYCLES)
+        if packet is not None:
+            demux.deliver(packet)
+
+
+def demux_waiter(timeout, recv=None):
+    """Programs: one task that waits for depth responses through a demux,
+    recording (packet, cycle at the wait's start, cycle at its end)."""
+
+    def build(results):
+        demux = IoDemux()
+
+        def program(rt):
+            while True:
+                start = yield from rt.current_cycle()
+                if recv is None:
+                    packet = yield from demux.recv(rt, PacketType.DEPTH_RESP, timeout)
+                else:
+                    packet = yield from recv(demux, rt, PacketType.DEPTH_RESP)
+                results.append((packet, start, (yield from rt.current_cycle())))
+
+        return [("main", program)]
+
+    return build
+
+
+@BOTH_CORES
+class TestDemuxTimeout:
+    @pytest.mark.parametrize("timeout", [200_000, 30_000_000])
+    def test_returns_none_at_its_deadline(self, config, timeout):
+        run = fly(demux_waiter(timeout), [(WINDOW, ())] * 4, config)
+        packet, start, end = run.results[0]
+        assert packet is None
+        # The demux reads its own start one CYCLE read after the program's.
+        deadline = start + access_cycles(config) + timeout
+        assert deadline <= end < deadline + CHUNK_SLEEPS
+
+    @pytest.mark.parametrize(
+        "timeout, windows",
+        [
+            (200_000, [(150_000, ()), (WINDOW, depth(4.0))]),
+            (30_000_000, [(WINDOW, ())] * 2 + [(WINDOW, depth(4.0))]),
+        ],
+    )
+    def test_a_response_before_the_deadline_is_returned(self, config, timeout, windows):
+        run = fly(demux_waiter(timeout), windows, config)
+        packet, start, end = run.results[0]
+        assert packet.values == (4.0,)
+        assert end < start + access_cycles(config) + timeout
+
+    def test_unbounded_wait_issues_the_ops_it_replaced(self, config):
+        windows = [(WINDOW, ()), (123_457, depth(1.0)), (WINDOW, ()), (WINDOW, depth(2.0))]
+        got = fly(demux_waiter(None), windows, config)
+        want = fly(demux_waiter(None, recv=reference_demux_recv), windows, config)
+        assert got.states == want.states
+        assert got.results == want.results
+        assert got.reads == want.reads
 
 
 # ---------------------------------------------------------------------------

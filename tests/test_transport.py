@@ -91,6 +91,26 @@ class TestInProcessSpecific:
         with pytest.raises(TransportError):
             a.send(pk.depth_request())
 
+    def test_closed_drain_raises_empty_or_not(self):
+        # The empty-inbox shortcut must not skip the closed check.
+        a, b = transport_pair("inprocess")
+        b.close()
+        with pytest.raises(TransportError):
+            b.drain()
+        a.send(pk.depth_request())
+        with pytest.raises(TransportError):
+            b.drain()
+
+    def test_pending_and_empty_drain(self):
+        a, b = transport_pair("inprocess")
+        assert not b.pending and b.drain() == []
+        a.send(pk.depth_request())
+        a.send_wire(encode_packet(pk.depth_response(1.0)))
+        assert b.pending
+        assert [p.ptype for p in b.drain()] == [PacketType.DEPTH_REQ, PacketType.DEPTH_RESP]
+        assert not b.pending and b.drain() == []
+        assert b.bytes_received == a.bytes_sent
+
 
 class TestInProcessObjectLink:
     """The in-process link hands over packet objects, but delivers and
