@@ -60,7 +60,6 @@ from repro.batch.infer import BatchedCnnPerception
 from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, MissionResult
 from repro.core.packets import PacketType
-from repro.core.synchronizer import StepRecord
 from repro.env.camera import encode_image_u8
 from repro.env.physics import CollisionEvent
 from repro.env.simulator import TrajectorySample
@@ -142,10 +141,12 @@ class BatchEngine:
     def _install_shims(self, lane: _Lane) -> None:
         """Reroute the RPC handlers whose work the batch does.
 
-        The environment advance is every lane's; the camera is a reader
-        lane's only (a non-reader's handler renders nothing).
-        Handler-level overrides keep :meth:`RpcServer.call` untouched, so
-        marshalling and call counts stay serial-exact.
+        The environment advance is every lane's; it answers as the serial
+        handler does, from the lane's environment, whose last sample the
+        round appended from the values it wrote back to the state.  The
+        camera is a reader lane's only (a non-reader's handler renders
+        nothing).  Handler-level overrides keep :meth:`RpcServer.call`
+        untouched, so argument checks and call counts stay serial-exact.
         """
         server = lane.cosim._rpc_server
         handlers = server._handlers
@@ -153,13 +154,14 @@ class BatchEngine:
         def get_camera_image() -> dict[str, Any]:
             return server.camera_payload(lane.frames.pop(0))
 
-        def continue_for_frames(frames: int) -> StepRecord:
+        def continue_for_frames(frames: int) -> tuple[TrajectorySample, int, bool]:
             if not lane.advance_token or int(frames) != self.frames_per_sync:
                 raise BatchIneligible(
                     f"unexpected environment advance of {frames} frame(s)"
                 )
             lane.advance_token = False
-            return server.step_record()
+            env = lane.cosim.env
+            return env.trajectory[-1], env.collision_count, env.mission_complete
 
         if lane.cosim.env.pixels:
             handlers["get_camera_image"] = get_camera_image

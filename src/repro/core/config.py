@@ -32,13 +32,13 @@ from repro.soc import calib
 class SyncConfig:
     """Lockstep synchronization parameters (Section 3.4.1, Equation 1).
 
-    The timeout fields govern the synchronizer's resilience to a faulty
-    link: ``sync_done_timeout_s`` is the wall-clock watchdog on one sync
-    step, ``regrant_timeout_s`` how long a remote host may stay silent
-    before the grant is re-issued, ``max_regrants`` how many re-issues are
-    attempted before the watchdog ends the mission.  Nothing reads
-    ``recv_timeout_s``; it stays only because ``config_to_dict`` hashes it
-    into every config key, so removing it would change every key.
+    ``max_regrants`` governs the synchronizer's resilience to a faulty
+    link: how many grant re-issues are attempted before the watchdog ends
+    the mission.  The FireSim host runs in process, so the watchdog counts
+    re-grants only and reads no clock.  Nothing reads
+    ``sync_done_timeout_s``, ``recv_timeout_s`` or ``regrant_timeout_s``;
+    they stay, still validated, only because ``config_to_dict`` hashes
+    them into every config key, so removing them would change every key.
     """
 
     cycles_per_sync: int = 10_000_000

@@ -410,10 +410,7 @@ class CoSimulation:
         failure_reason: str | None = None
         self.start()
         try:
-            self.synchronizer.run(
-                max_sim_time=self.config.max_sim_time,
-                stop_condition=lambda: self.synchronizer.mission_complete,
-            )
+            self.synchronizer.run(max_sim_time=self.config.max_sim_time)
         except WatchdogError:
             failure_reason = "watchdog"
         except TransportError:

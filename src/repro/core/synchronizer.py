@@ -18,11 +18,11 @@ the simulators only at step boundaries, so a sensor request issued
 mid-period is answered no earlier than the next boundary — coarse
 synchronization adds artificial latency to the modeled I/O.
 
-Step 3's tokens travel as SYNC_GRANT and SYNC_DONE frames wherever
-frames exist or can be faulted: over TCP, behind a fault injector (an
-empty fault plan included), and to a remote host, where a lost frame is
-recovered by regrants and bounded by the watchdog.  On a lossless
-in-process link to an in-process host the frames would tell the
+The FireSim host always runs in this process.  Step 3's tokens travel
+as SYNC_GRANT and SYNC_DONE frames wherever frames exist or can be
+faulted: over TCP and behind a fault injector (an empty fault plan
+included), where a lost frame is recovered by regrants and bounded by
+the watchdog.  On a lossless in-process link the frames would tell the
 synchronizer nothing it does not know, so step 3 grants the host by
 method call (:meth:`~repro.soc.firesim.FireSimHost.grant`) and step 4
 reads the completion back from the host; both frames are still charged
@@ -32,9 +32,8 @@ sync count is the same on either path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, TypedDict
+from typing import TYPE_CHECKING
 
 from repro.core.config import SyncConfig
 from repro.core.csvlog import SyncLogger, SyncLogRow
@@ -58,6 +57,7 @@ from repro.core.timing import StageTimer, wall_clock
 from repro.core.trace import Tracer
 from repro.core.transport import InProcessTransport, Transport
 from repro.env.rpc import RpcClient
+from repro.env.simulator import TrajectorySample
 from repro.errors import SyncError, WatchdogError
 
 if TYPE_CHECKING:  # pragma: no cover - repro.soc imports repro.core
@@ -79,22 +79,6 @@ _TARGET_CMD = PacketType.TARGET_CMD
 _CAMERA_REQUESTS = ("from_rtl", _CAMERA_REQ)
 _IMU_REQUESTS = ("from_rtl", _IMU_REQ)
 _DEPTH_REQUESTS = ("from_rtl", _DEPTH_REQ)
-
-
-class StepRecord(TypedDict):
-    """The environment's committed state after one frame advance, as the
-    ``continue_for_frames`` RPC returns it (``RpcServer.step_record``)."""
-
-    frame: int
-    x: float
-    y: float
-    z: float
-    yaw: float
-    speed: float
-    s: float  # course arclength
-    d: float  # signed lateral offset
-    collisions: int
-    mission_complete: bool
 
 
 def _dispatched(ptype: PacketType) -> property:
@@ -185,12 +169,11 @@ class SyncStats:
 class Synchronizer:
     """Drives one environment simulator and one FireSim host in lockstep.
 
-    ``host`` is the FireSim host when it runs in this process: its
-    ``service()`` is invoked while waiting for the RTL side so it gets to
-    run, and on a plain :class:`~repro.core.transport.InProcessTransport`
-    it is granted by call (see the module docstring).  With a true remote
-    host (TCP transport to another process/thread) pass ``None`` and the
-    wait polls the transport.
+    ``host`` is the FireSim host at the other end of ``transport``, run in
+    this process: its ``service()`` is invoked while waiting for the RTL
+    side so it gets to run, and on a plain
+    :class:`~repro.core.transport.InProcessTransport` it is granted by
+    call (see the module docstring).
     """
 
     def __init__(
@@ -198,7 +181,7 @@ class Synchronizer:
         rpc: RpcClient,
         transport: Transport,
         sync: SyncConfig,
-        host: FireSimHost | None = None,
+        host: FireSimHost,
         logger: SyncLogger | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
@@ -215,9 +198,7 @@ class Synchronizer:
         #: The in-process host and its lossless link when the step's
         #: tokens go by call; ``None`` when they go as frames.
         self._by_call = (
-            (host, transport)
-            if host is not None and isinstance(transport, InProcessTransport)
-            else None
+            (host, transport) if isinstance(transport, InProcessTransport) else None
         )
         self.logger = logger
         self.tracer = tracer
@@ -231,8 +212,8 @@ class Synchronizer:
         self._pending_rtl: list[DataPacket] = []
         self._configured = False
         self._last_imu: dict[str, float] | None = None
-        #: The environment's goal flag from the last advance's record
-        #: (the mission's stop test reads it; no RPC).
+        #: The environment's goal flag from the last advance's answer
+        #: (:meth:`run` stops on it; no RPC).
         self.mission_complete = False
 
     # ------------------------------------------------------------------
@@ -242,15 +223,13 @@ class Synchronizer:
             sync_set_steps(self.sync.cycles_per_sync, self.sync.frames_per_sync)
         )
         self._count_packet("to_rtl", PacketType.SYNC_SET_STEPS)
-        if self.host is not None:
-            self.host.service()
+        self.host.service()
         self._configured = True
 
     def shutdown(self) -> None:
         self.transport.send(sync_shutdown())
         self._count_packet("to_rtl", PacketType.SYNC_SHUTDOWN)
-        if self.host is not None:
-            self.host.service()
+        self.host.service()
 
     def _count_packet(self, direction: str, ptype: PacketType) -> None:
         packets = self.stats.link_packets
@@ -397,8 +376,9 @@ class Synchronizer:
         self.stats.sync_grants += 1
         if timer is not None:
             t0 = wall_clock()
-        record = self.rpc.continue_for_frames(self._frames_per_sync)
-        self.mission_complete = record["mission_complete"]
+        sample, collisions, self.mission_complete = self.rpc.continue_for_frames(
+            self._frames_per_sync
+        )
         if timer is not None:
             timer.add("env_step", wall_clock() - t0)
 
@@ -421,7 +401,7 @@ class Synchronizer:
         if self.invariants is not None:
             self.invariants.after_step(step_index, self.sim_time)
         if self.logger is not None:
-            self.logger.log(self._log_row(record))
+            self.logger.log(self._log_row(sample, collisions))
         if timer is not None:
             total = wall_clock() - step_t0
             env_seconds = charged["env_step"] - env_before
@@ -515,52 +495,29 @@ class Synchronizer:
             self.invariants.on_done(step_index)
 
     def _wait_for_sync_done(self, step_index: int) -> None:
-        """Poll for this step's SYNC_DONE, surviving a lossy link.
+        """Run the host until this step's SYNC_DONE arrives, surviving a
+        lossy link.
 
-        A lost SYNC_GRANT or SYNC_DONE is recovered by re-issuing the
-        grant (the host deduplicates and re-acknowledges executed steps);
-        after ``max_regrants`` unanswered re-issues — or, for a remote
-        host, ``sync_done_timeout_s`` of wall-clock silence — the watchdog
-        raises :class:`WatchdogError`, which the mission runner converts
-        into a structured failure.
+        The host finishes all the work it can per service call, so a
+        drain that brings nothing means the grant or its SYNC_DONE was
+        lost on the wire: the grant is re-issued (the host deduplicates
+        and re-acknowledges executed steps).  After ``max_regrants``
+        unanswered re-issues the watchdog raises :class:`WatchdogError`,
+        which the mission runner converts into a structured failure.
         """
         regrants = 0
-        deadline = regrant_deadline = 0.0
         host = self.host
-        if host is None:
-            # Watchdog deadlines are wall-clock by design: they bound
-            # *remote* host silence on a dead link, never simulated
-            # behaviour.  An in-process host is watched by regrant count.
-            deadline = time.monotonic() + self.sync.sync_done_timeout_s  # repro: allow[DET002]
-            regrant_deadline = time.monotonic() + self.sync.regrant_timeout_s  # repro: allow[DET002]
         while True:
-            if host is not None:
-                self._service_host(host)
+            self._service_host(host)
             done, progressed = self._drain(step_index)
             if done:
                 return
-            if host is not None:
-                if progressed:
-                    continue
-                # An in-process host finishes all possible work per service
-                # call, so an empty drain means the grant or its SYNC_DONE
-                # was lost on the wire.
+            if not progressed:
                 regrants = self._regrant(step_index, regrants)
-                continue
-            now = time.monotonic()  # repro: allow[DET002] watchdog, host-time by design
-            if now > deadline:
-                self.stats.watchdog_fires += 1
-                raise WatchdogError(
-                    f"FireSim did not complete step {step_index} within "
-                    f"{self.sync.sync_done_timeout_s:g}s"
-                )
-            if now > regrant_deadline:
-                regrants = self._regrant(step_index, regrants)
-                regrant_deadline = now + self.sync.regrant_timeout_s
-            time.sleep(0.0002)
 
-    def _log_row(self, record: StepRecord) -> SyncLogRow:
-        """This step's CSV row, from the advance's record (no RPC)."""
+    def _log_row(self, sample: TrajectorySample, collisions: int) -> SyncLogRow:
+        """This step's CSV row, from the advance's answer: the last
+        frame's trajectory sample and the collision count (no RPC)."""
         stats = self.stats
         packets = stats.link_packets
         target = stats.last_target
@@ -573,14 +530,14 @@ class Synchronizer:
         return SyncLogRow(
             stats.steps,
             self.sim_time,
-            record["x"],
-            record["y"],
-            record["z"],
-            record["yaw"],
-            record["speed"],
-            record["s"],
-            record["d"],
-            record["collisions"],
+            sample.x,
+            sample.y,
+            sample.z,
+            sample.yaw,
+            sample.speed,
+            sample.s,
+            sample.d,
+            collisions,
             packets.get(_CAMERA_REQUESTS, 0),
             packets.get(_IMU_REQUESTS, 0),
             packets.get(_DEPTH_REQUESTS, 0),
@@ -593,15 +550,11 @@ class Synchronizer:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_sim_time: float,
-        stop_condition: Callable[[], bool] | None = None,
-    ) -> None:
-        """Run the lockstep loop until ``max_sim_time`` or the condition."""
+    def run(self, max_sim_time: float) -> None:
+        """Run the lockstep loop until ``max_sim_time`` or the goal."""
         if max_sim_time <= 0:
             raise SyncError("max_sim_time must be positive")
         while self.sim_time < max_sim_time:
             self.step()
-            if stop_condition is not None and stop_condition():
+            if self.mission_complete:
                 return

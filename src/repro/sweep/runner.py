@@ -853,29 +853,19 @@ class SweepRunner:
             self._kill_pool(pool)
 
 
-def sweep_missions(
-    configs: Iterable[TaskLike],
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    batch_size: int | None = None,
-) -> list[MissionResult]:
+def sweep_missions(configs: Iterable[TaskLike]) -> list[MissionResult]:
     """Run configs through the sweep engine; results in input order.
 
-    Drop-in replacement for ``[run_mission(c) for c in configs]``.  With
-    no arguments the knobs come from the environment: ``REPRO_SWEEP_WORKERS``
-    (default 1 = serial), ``REPRO_SWEEP_BATCH`` (default 1 = no
-    batching) and ``REPRO_SWEEP_CACHE_DIR`` (caching stays off unless
-    the directory is set — library callers opt in explicitly).
+    Drop-in replacement for ``[run_mission(c) for c in configs]``.  The
+    knobs come from the environment: ``REPRO_SWEEP_WORKERS`` (default 1 =
+    serial), ``REPRO_SWEEP_BATCH`` (default 1 = no batching) and
+    ``REPRO_SWEEP_CACHE_DIR`` (caching stays off unless the directory is
+    set — library callers opt in explicitly).
     Transient failures are retried under the default
     :class:`~repro.sweep.resilience.RetryPolicy`; a task that still
     fails raises :class:`~repro.errors.SweepError` from ``results()``.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if cache is None and os.environ.get(CACHE_DIR_ENV):
-        cache = ResultCache(os.environ[CACHE_DIR_ENV])
-    return (
-        SweepRunner(workers=workers, cache=cache, batch_size=batch_size)
-        .run(configs)
-        .results()
-    )
+    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+    cache_dir = os.environ.get(CACHE_DIR_ENV)
+    cache = ResultCache(cache_dir) if cache_dir else None
+    return SweepRunner(workers=workers, cache=cache).run(configs).results()

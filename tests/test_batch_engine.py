@@ -252,7 +252,7 @@ class TestCourseStateCache:
 
     def test_lane_records_match_env_every_round(self, monkeypatch):
         # The same ragged group: after every round, each stepped lane's
-        # CSV row (built from its advance's record) must equal a fresh
+        # CSV row (built from its advance's answer) must equal a fresh
         # read of its env, and a lane must finish on the round its env
         # first reports the goal reached.
         base = dict(world="tunnel", world_params={"length": 25.0})

@@ -1,11 +1,12 @@
 """Mutants of the lockstep plumbing that the exactness checks catch.
 
-The per-step hops between the synchronizer, the FireSim host and the
-SoC claim to do only the work their step needs while every op, cycle,
-packet, byte and counter stays the same.  Each test below applies one
-mutant in-process, by recompiling one method from its source with a
-one-line change or by swapping two module constants (no file is
-edited), and asserts that a named check fails:
+The per-step hops between the synchronizer, the environment's RPC
+server, the FireSim host and the SoC claim to do only the work their
+step needs while every op, cycle, packet, byte and counter stays the
+same.  Each test below applies one mutant in-process, by recompiling
+one method from its source with a one-line change or by swapping two
+module constants (no file is edited), and asserts that a named check
+fails:
 
 * a by-call step that drops its SYNC_DONE charge
   (``Synchronizer._complete_by_call``) moves every golden record flown
@@ -15,7 +16,12 @@ edited), and asserts that a named check fails:
   the round-robin scheduler and a golden record;
 * a CSV row that swaps the camera and IMU request counts moves a golden
   record's op stream (``Synchronizer._log_row`` reads each count by a
-  module-level key, so the mutant swaps the two keys).
+  module-level key, so the mutant swaps the two keys);
+* a frame advance that answers with the previous frame's trajectory
+  sample (``RpcServer._continue_for_frames``) moves every golden record,
+  12 of 12: each CSV row logs the sample the advance answers with;
+* a lockstep loop that ignores the goal flag (``Synchronizer.run``)
+  flies past the goal and moves the one golden record that reaches it.
 
 Mutants no check catches, with the reason:
 
@@ -37,6 +43,7 @@ import pytest
 
 from repro.core import synchronizer
 from repro.core.synchronizer import Synchronizer
+from repro.env.rpc import RpcServer
 from repro.soc.soc import CONFIG_A, CONFIG_B, Soc
 from repro.verify.golden import check_corpus
 from tests.test_frame_mutants import mutant
@@ -47,16 +54,22 @@ FETCH_WHILE_ASLEEP = (
     "if wake_at is not None and wake_at > self.cycle:",
     "if False:",
 )
+PREVIOUS_SAMPLE = ("sim.trajectory[-1]", "sim.trajectory[-2]")
+IGNORE_GOAL = ("if self.mission_complete:", "if False:")
 
 #: (owner, method, mutation) of each source mutant above.
 MUTANTS = {
     "drop-done-charge": (Synchronizer, "_complete_by_call", DROP_DONE_CHARGE),
     "fetch-while-asleep": (Soc, "_schedule_core", FETCH_WHILE_ASLEEP),
+    "previous-sample": (RpcServer, "_continue_for_frames", PREVIOUS_SAMPLE),
+    "ignore-goal": (Synchronizer, "run", IGNORE_GOAL),
 }
 
 #: A golden record flown over the by-call path whose op stream has both
 #: camera requests and a lone-task SoC.
 RECORD = "tunnel-dnn-r6-socB"
+#: The one golden record whose mission reaches the goal.
+GOAL_RECORD = "scenario-fuzz-frontier"
 
 #: Windows that wake the lone task mid-window, at an end and across one.
 WINDOWS = [(budget, ()) for budget in (1, 6_999, 7_001, 33_333)] + [
@@ -80,6 +93,7 @@ def test_unchanged_recompiles_pass_the_checks(monkeypatch):
     for owner, method, (old, _) in MUTANTS.values():
         monkeypatch.setattr(owner, method, mutant(getattr(owner, method), old, old))
     assert statuses(only=RECORD) == {RECORD: "ok"}
+    assert statuses(only=GOAL_RECORD) == {GOAL_RECORD: "ok"}
     assert_same(fly_all(mixed_ops, WINDOWS, CONFIG_B))
 
 
@@ -113,3 +127,13 @@ def test_swapped_request_counts_move_a_golden_record(monkeypatch):
     monkeypatch.setattr(synchronizer, "_CAMERA_REQUESTS", imu)
     monkeypatch.setattr(synchronizer, "_IMU_REQUESTS", camera)
     assert statuses(only=RECORD) == {RECORD: "drift"}
+
+
+def test_previous_frame_sample_moves_every_record(monkeypatch):
+    apply(monkeypatch, "previous-sample")
+    assert set(statuses().values()) == {"drift"}
+
+
+def test_ignored_goal_moves_the_goal_record(monkeypatch):
+    apply(monkeypatch, "ignore-goal")
+    assert statuses(only=GOAL_RECORD) == {GOAL_RECORD: "drift"}

@@ -82,13 +82,6 @@ class TestLockstep:
         sync.run(max_sim_time=0.05)
         assert sync.stats.steps == 5
 
-    def test_run_stop_condition(self):
-        env, soc, sync = build(idle_program)
-        sync.configure()
-        steps = []
-        sync.run(max_sim_time=1.0, stop_condition=lambda: len(steps) >= 2 or steps.append(1))
-        assert sync.stats.steps <= 3
-
     def test_shutdown_propagates(self):
         env, soc, sync = build(idle_program)
         sync.configure()
@@ -294,15 +287,40 @@ class TestRpcBudget:
         assert result.sync_stats.camera_requests > 0
         assert result.stage_timings["env_step"] > 0.0
 
+    @staticmethod
+    def fly_recorded(config):
+        """Fly ``config`` with its RPC calls recorded."""
+        cosim = CoSimulation(config)
+        recorder = RecordingServer(cosim._rpc_server)
+        cosim.rpc = cosim.synchronizer.rpc = RpcClient(recorder)
+        return cosim, cosim.run(), recorder
+
     def test_mission_rpc_count(self):
-        cosim = CoSimulation(CoSimConfig(world="tunnel", max_sim_time=1.0))
-        stats = cosim.run().sync_stats
+        _, result, recorder = self.fly_recorded(CoSimConfig(world="tunnel", max_sim_time=1.0))
+        stats = result.sync_stats
         assert stats.camera_requests > 0 and stats.target_commands > 0
         # One advance per step, one RPC per camera request and target
         # command, and the takeoff.
-        assert cosim._rpc_server.stats.calls == (
+        assert len(recorder.methods) == (
             stats.steps + stats.camera_requests + stats.target_commands + 1
         )
+
+    def test_missions_call_every_method(self):
+        # The server registers the calls the program makes and no other:
+        # one short mission per controller that issues a distinct request
+        # calls every registered method between them.
+        called = set()
+        for fields in (
+            {"controller": "dnn"},
+            {"dynamic_runtime": True},
+            {"controller": "fusion"},
+            {"controller": "mpc"},
+            {"controller": "slam"},
+        ):
+            config = CoSimConfig(world="tunnel", max_sim_time=1.0, **fields)
+            cosim, _, recorder = self.fly_recorded(config)
+            called.update(recorder.methods)
+        assert called == set(cosim._rpc_server.methods)
 
 
 def fly_checking_records(config, monkeypatch):
@@ -334,7 +352,7 @@ def fly_checking_records(config, monkeypatch):
 
 
 class TestStepRecord:
-    """The advance's record is the environment's state, and the mission
+    """The advance's answer is the environment's state, and the mission
     stops on the first step whose advance reached the goal."""
 
     def test_s_shape_mission_with_wall_collisions(self, monkeypatch):
