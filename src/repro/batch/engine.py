@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.core.cosim import CoSimulation, MissionResult
 from repro.core.packets import PacketType
 from repro.env.camera import encode_image_u8
 from repro.env.physics import CollisionEvent
+from repro.env.rpc import CameraFrame
 from repro.env.simulator import TrajectorySample
 from repro.errors import TransportError, WatchdogError
 
@@ -148,11 +149,11 @@ class BatchEngine:
         nothing).  Handler-level overrides keep :meth:`RpcServer.call`
         untouched, so argument checks and call counts stay serial-exact.
         """
-        server = lane.cosim._rpc_server
+        server = lane.cosim.rpc
         handlers = server._handlers
 
-        def get_camera_image() -> dict[str, Any]:
-            return server.camera_payload(lane.frames.pop(0))
+        def get_camera_image() -> CameraFrame:
+            return server.camera_frame(lane.frames.pop(0))
 
         def continue_for_frames(frames: int) -> tuple[TrajectorySample, int, bool]:
             if not lane.advance_token or int(frames) != self.frames_per_sync:

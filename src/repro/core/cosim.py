@@ -41,7 +41,7 @@ from repro.obs.recorder import FlightRecord, trace_summary
 from repro.dnn.calibrated import classifier_profile
 from repro.dnn.resnet import build_resnet_graph
 from repro.dnn.runtime import InferenceSession
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.rpc import RpcServer
 from repro.env.simulator import EnvSimulator, TrajectorySample
 from repro.env.worlds import cached_world
 from repro.soc.firesim import FireSimHost
@@ -162,8 +162,7 @@ class CoSimulation:
             world=world,
             pixels=perception is not None and perception.reads_pixels,
         )
-        self._rpc_server = RpcServer(self.env)
-        self.rpc = RpcClient(self._rpc_server)
+        self.rpc = RpcServer(self.env)
 
         # Hardware side (Figure 3, right).  The SoC's target clock is the
         # one SyncConfig's Equation 1 is built around — single source.
@@ -421,7 +420,7 @@ class CoSimulation:
         """Program the bridge's budgets and take off: what precedes the
         first lockstep step."""
         self.synchronizer.configure()
-        self.rpc.takeoff()
+        self.rpc.call("takeoff")
 
     def finish(self, failure_reason: str | None) -> MissionResult:
         """Shut the link down and collect the flown mission's result."""

@@ -56,7 +56,8 @@ from repro.core.invariants import InvariantChecker
 from repro.core.timing import StageTimer, wall_clock
 from repro.core.trace import Tracer
 from repro.core.transport import InProcessTransport, Transport
-from repro.env.rpc import RpcClient
+from repro.env.rpc import RpcServer
+from repro.env.sensors import ImuReading
 from repro.env.simulator import TrajectorySample
 from repro.errors import SyncError, WatchdogError
 
@@ -169,6 +170,13 @@ class SyncStats:
 class Synchronizer:
     """Drives one environment simulator and one FireSim host in lockstep.
 
+    ``rpc`` is the environment's :class:`~repro.env.rpc.RpcServer`, or any
+    object with its ``call`` method.  Each RPC answers with the simulator's
+    own record (an ``ImuReading``, a ``LidarScan``, a ``DroneState``, a
+    :class:`~repro.env.rpc.CameraFrame`), and this class is the one place
+    that serializes a reading into its response packet (Algorithm 1's
+    second phase).
+
     ``host`` is the FireSim host at the other end of ``transport``, run in
     this process: its ``service()`` is invoked while waiting for the RTL
     side so it gets to run, and on a plain
@@ -178,7 +186,7 @@ class Synchronizer:
 
     def __init__(
         self,
-        rpc: RpcClient,
+        rpc: RpcServer,
         transport: Transport,
         sync: SyncConfig,
         host: FireSimHost,
@@ -211,7 +219,7 @@ class Synchronizer:
         self.sim_time = 0.0
         self._pending_rtl: list[DataPacket] = []
         self._configured = False
-        self._last_imu: dict[str, float] | None = None
+        self._last_imu: ImuReading | None = None
         #: The environment's goal flag from the last advance's answer
         #: (:meth:`run` stops on it; no RPC).
         self.mission_complete = False
@@ -274,60 +282,44 @@ class Synchronizer:
             )
         if ptype == _CAMERA_REQ:
             self.stats.camera_request_times.append(self.sim_time)
-            image = self.rpc.get_camera_image()
+            frame = self.rpc.call("get_camera_image")
             if self.faults is not None and self.faults.camera_blackout_active():
                 # Blacked-out sensor: no pixels, no usable pose metadata —
                 # the controller sees a frame that says "centered".
                 self.stats.sensor_faults += 1
-                image = dict(
-                    image,
-                    pixels=bytes(len(image["pixels"])),
+                frame = frame._replace(
+                    pixels=bytes(len(frame.pixels)),
                     heading_error=0.0,
                     lateral_offset=0.0,
                 )
-            self._transmit(
-                camera_response(
-                    height=image["height"],
-                    width=image["width"],
-                    timestamp=image["timestamp"],
-                    heading_error=image["heading_error"],
-                    lateral_offset=image["lateral_offset"],
-                    half_width=image["half_width"],
-                    pixels=image["pixels"],
-                )
-            )
+            self._transmit(camera_response(*frame))
         elif ptype == _IMU_REQ:
-            imu = self.rpc.get_imu()
+            imu = self.rpc.call("get_imu")
             if self.faults is not None and self.faults.stuck_imu_active():
                 # Stuck sensor: keep serving the last healthy reading.
                 self.stats.sensor_faults += 1
                 if self._last_imu is not None:
                     imu = self._last_imu
             self._last_imu = imu
-            self._transmit(
-                imu_response(
-                    imu["accel_x"], imu["accel_y"], imu["accel_z"], imu["gyro_z"], imu["timestamp"]
-                )
-            )
+            self._transmit(imu_response(*imu.as_tuple()))
         elif ptype == _DEPTH_REQ:
-            self._transmit(depth_response(self.rpc.get_depth()))
+            self._transmit(depth_response(self.rpc.call("get_depth")))
         elif ptype == _LIDAR_REQ:
-            scan = self.rpc.get_lidar()
+            scan = self.rpc.call("get_lidar")
             self._transmit(
-                lidar_response(scan["fov_rad"], scan["timestamp"], scan["ranges"])
+                lidar_response(scan.fov_rad, scan.timestamp, scan.ranges.tobytes())
             )
         elif ptype == _STATE_REQ:
-            st = self.rpc.get_state()
+            st = self.rpc.call("get_state")
             self._transmit(
                 state_response(
-                    st["x"], st["y"], st["z"], st["yaw"], st["u"], st["v"], st["r"],
-                    self.sim_time,
+                    st.x, st.y, st.z, st.yaw, st.u, st.v, st.r, self.sim_time
                 )
             )
         elif ptype == _TARGET_CMD:
             v_forward, v_lateral, yaw_rate, altitude = packet.values
             self.stats.last_target = (v_forward, v_lateral, yaw_rate, altitude)
-            self.rpc.send_velocity_target(v_forward, v_lateral, yaw_rate, altitude)
+            self.rpc.call("send_velocity_target", v_forward, v_lateral, yaw_rate, altitude)
         else:
             raise SyncError(f"unexpected packet from RTL: {ptype.name}")
 
@@ -376,8 +368,8 @@ class Synchronizer:
         self.stats.sync_grants += 1
         if timer is not None:
             t0 = wall_clock()
-        sample, collisions, self.mission_complete = self.rpc.continue_for_frames(
-            self._frames_per_sync
+        sample, collisions, self.mission_complete = self.rpc.call(
+            "continue_for_frames", self._frames_per_sync
         )
         if timer is not None:
             timer.add("env_step", wall_clock() - t0)

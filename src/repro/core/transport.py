@@ -76,17 +76,6 @@ class Transport:
         """Return the next complete packet, or ``None`` if none is pending."""
         raise NotImplementedError
 
-    def recv_blocking(self, timeout: float = 5.0) -> DataPacket:
-        """Wait for the next packet; raises on timeout."""
-        deadline = time.monotonic() + timeout  # repro: allow[DET002] I/O deadline
-        while True:
-            packet = self.recv()
-            if packet is not None:
-                return packet
-            if time.monotonic() > deadline:  # repro: allow[DET002] I/O deadline
-                raise TransportError(f"no packet within {timeout}s")
-            time.sleep(0.0005)
-
     def drain(self) -> list[DataPacket]:
         """All packets currently pending."""
         packets = []

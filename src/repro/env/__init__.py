@@ -14,7 +14,7 @@ from repro.env.flightctl import SimpleFlightController, VelocityTarget
 from repro.env.sensors import DepthSensor, Imu, ImuReading
 from repro.env.camera import FpvCamera
 from repro.env.simulator import EnvSimulator, EnvConfig
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.rpc import CameraFrame, RpcServer
 
 __all__ = [
     "Pose2",
@@ -33,6 +33,6 @@ __all__ = [
     "FpvCamera",
     "EnvSimulator",
     "EnvConfig",
-    "RpcClient",
+    "CameraFrame",
     "RpcServer",
 ]

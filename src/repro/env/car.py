@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.env.flightctl import Pid, PidGains, VelocityTarget
 from repro.env.physics import AccelCommand, CollisionEvent, DroneState
 from repro.env.worlds import World
@@ -113,15 +111,29 @@ class CarDynamics:
         if self.recovering:
             command = CarCommand(accel=-st.u / max(dt, 1e-6), steer_rate=0.0)
 
-        accel = float(np.clip(command.accel, -p.max_brake, p.max_accel))
-        steer_rate = float(
-            np.clip(command.steer_rate, -p.max_steer_rate, p.max_steer_rate)
-        )
+        # Clamps: ``lo if lo > x else x`` then ``hi if hi < x else x`` pick
+        # what ``float(np.clip(x, lo, hi))`` picks, signed zeros and NaN
+        # included (tests/test_car.py), with no call.
+        accel = command.accel
+        lo = -p.max_brake
+        hi = p.max_accel
+        accel = lo if lo > accel else accel
+        accel = hi if hi < accel else accel
+        steer_rate = command.steer_rate
+        hi = p.max_steer_rate
+        lo = -hi
+        steer_rate = lo if lo > steer_rate else steer_rate
+        steer_rate = hi if hi < steer_rate else steer_rate
 
-        self.steering_angle = float(
-            np.clip(self.steering_angle + steer_rate * dt, -p.max_steer, p.max_steer)
-        )
-        st.u = float(np.clip(st.u + (accel - p.drag * st.u) * dt, 0.0, p.max_speed))
+        steer = self.steering_angle + steer_rate * dt
+        hi = p.max_steer
+        lo = -hi
+        steer = lo if lo > steer else steer
+        steer = self.steering_angle = hi if hi < steer else steer
+        u = st.u + (accel - p.drag * st.u) * dt
+        hi = p.max_speed
+        u = 0.0 if 0.0 > u else u
+        u = st.u = hi if hi < u else u
         st.v = 0.0
 
         # Bicycle model: yaw rate from speed and steering.
@@ -202,12 +214,10 @@ class CarController:
         # the commanded lateral motion at the current speed.
         speed = max(st.u, 0.5)  # avoid the singular stationary case
         yaw_rate_target = self.target.yaw_rate + self.target.v_lateral / speed
-        desired_steer = float(
-            np.clip(
-                math.atan(p.wheelbase * yaw_rate_target / speed),
-                -p.max_steer,
-                p.max_steer,
-            )
-        )
+        desired_steer = math.atan(p.wheelbase * yaw_rate_target / speed)
+        hi = p.max_steer
+        lo = -hi
+        desired_steer = lo if lo > desired_steer else desired_steer
+        desired_steer = hi if hi < desired_steer else desired_steer
         steer_rate = self._steer_pid.update(desired_steer - dynamics.steering_angle, dt)
         return CarCommand(accel=accel, steer_rate=steer_rate)

@@ -28,8 +28,10 @@ from repro.env.sensors import (
     DepthSensor,
     Imu,
     ImuParams,
+    ImuReading,
     Lidar,
     LidarParams,
+    LidarScan,
     SensorNoiseProfile,
 )
 from repro.env.worlds import World, cached_world
@@ -226,13 +228,13 @@ class EnvSimulator:
     def get_camera_image(self) -> np.ndarray:
         return self.camera.render(self.world, self.dynamics.state.pose)
 
-    def get_imu(self):
+    def get_imu(self) -> ImuReading:
         return self.imu.read(self.dynamics, self.config.frame_dt)
 
     def get_depth(self) -> float:
         return self.depth_sensor.read(self.world, self.dynamics)
 
-    def get_lidar(self):
+    def get_lidar(self) -> LidarScan:
         return self.lidar.scan(self.world, self.dynamics)
 
     def get_state(self) -> DroneState:

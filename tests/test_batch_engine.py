@@ -201,8 +201,8 @@ class TestBatchBitIdentity:
         for cosim in serial:
             cosim.run()
         for lane, cosim in zip(engine.lanes, serial):
-            methods = calls[lane.cosim._rpc_server]
-            assert methods == calls[cosim._rpc_server]
+            methods = calls[lane.cosim.rpc]
+            assert methods == calls[cosim.rpc]
             assert {"get_camera_image", "send_velocity_target"} <= set(methods)
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro import CoSimConfig, run_mission
@@ -105,6 +107,53 @@ class TestCarDynamics:
         assert car.state.u == 0.0
         assert car.steering_angle == 0.0
         assert car.collisions == []
+
+
+
+def clamp(x, lo, hi):
+    """The car's clamp: ``lo if lo > x else x``, then ``hi if hi < x else x``."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
+P = CarParams()
+#: The (lo, hi) of each clamp in the car's step and controller.
+CLAMP_BOUNDS = [
+    (-P.max_brake, P.max_accel),
+    (-P.max_steer_rate, P.max_steer_rate),
+    (-P.max_steer, P.max_steer),
+    (0.0, P.max_speed),  # the speed floor
+]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.3, -0.3, 30.0, -30.0]
+
+
+class TestClamp:
+    """The conditional clamps pick what ``float(np.clip(x, lo, hi))`` picks."""
+
+    @pytest.mark.parametrize("lo, hi", CLAMP_BOUNDS)
+    def test_matches_np_clip(self, lo, hi):
+        for x in SPECIAL + [lo, hi, -lo, -hi]:
+            assert repr(clamp(x, lo, hi)) == repr(float(np.clip(x, lo, hi))), x
+
+    @pytest.mark.parametrize("u", [0.0, -0.0, 0.01, 19.99, 20.0])
+    def test_step_matches_np_clip(self, road, u):
+        """One step's applied acceleration, steering angle and speed, from
+        extreme and signed-zero commands, against the step's arithmetic
+        clamped by ``np.clip``."""
+        for accel, steer_rate, angle in itertools.product(
+            [-math.inf, -9.0, -0.0, 0.0, 2.0, 5.0, math.inf],
+            [-math.inf, -2.0, -0.0, 0.0, 0.5, math.inf],
+            [-0.45, -0.0, 0.0, 0.44],
+        ):
+            car = CarDynamics(road, initial_state=DroneState(x=5.0, u=u))
+            car.steering_angle = angle
+            car.step(CarCommand(accel, steer_rate), DT)
+            a = float(np.clip(accel, -P.max_brake, P.max_accel))
+            rate = float(np.clip(steer_rate, -P.max_steer_rate, P.max_steer_rate))
+            steer = float(np.clip(angle + rate * DT, -P.max_steer, P.max_steer))
+            speed = float(np.clip(u + (a - P.drag * u) * DT, 0.0, P.max_speed))
+            got = (car.applied_acceleration.a_forward, car.steering_angle, car.state.u)
+            assert repr(got) == repr((a, steer, speed)), (accel, steer_rate, angle)
 
 
 class TestCarController:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.env.flightctl import VelocityTarget
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.rpc import CameraFrame, RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
 from repro.env.worlds import make_world
 from repro.errors import SimulationError
@@ -188,8 +188,8 @@ class TestSensorsApi:
 
 class TestRpc:
     @pytest.fixture
-    def client(self, env_sim):
-        return RpcClient(RpcServer(env_sim))
+    def server(self, env_sim):
+        return RpcServer(env_sim)
 
     def test_unknown_method(self, env_sim):
         server = RpcServer(env_sim)
@@ -206,23 +206,23 @@ class TestRpc:
         assert "get_camera_image" in server.methods
         assert "send_velocity_target" in server.methods
 
-    def test_full_flight_via_rpc(self, client):
-        client.takeoff()
-        client.send_velocity_target(3.0, 0.0, 0.0, 1.5)
-        sample, collisions, complete = client.continue_for_frames(60 * 3)
-        state = client.get_state()
-        assert state["x"] > 4.0
+    def test_full_flight_via_rpc(self, server):
+        server.call("takeoff")
+        server.call("send_velocity_target", 3.0, 0.0, 0.0, 1.5)
+        sample, collisions, complete = server.call("continue_for_frames", 60 * 3)
+        state = server.call("get_state")
+        assert state.x > 4.0
         # The advance answers with the last frame's sample of the state.
         assert sample.time == pytest.approx(3.0)
         assert (sample.x, sample.y, sample.z, sample.yaw, sample.speed) == (
-            state["x"], state["y"], state["z"], state["yaw"], state["speed"]
+            state.x, state.y, state.z, state.yaw, state.speed
         )
         assert collisions == 0
         assert not complete
 
-    def test_camera_payload(self, client):
-        image = client.get_camera_image()
-        assert image["height"] * image["width"] == len(image["pixels"])
-        assert "heading_error" in image
-        assert image["half_width"] == pytest.approx(1.6)
+    def test_camera_payload(self, server):
+        frame = server.call("get_camera_image")
+        assert isinstance(frame, CameraFrame)
+        assert frame.height * frame.width == len(frame.pixels)
+        assert frame.half_width == pytest.approx(1.6)
 

@@ -108,7 +108,7 @@ def camera_pin_holds(trailnet) -> bool:
     """Whether a pixel reader's first camera RPC serves the pinned frame."""
     world, seed = CAMERA
     image = _first_frame(CoSimConfig(world=world, seed=seed), CnnPerception(trailnet))
-    return hashlib.sha256(image["pixels"]).hexdigest() == CAMERA_PINS[CAMERA]
+    return hashlib.sha256(image.pixels).hexdigest() == CAMERA_PINS[CAMERA]
 
 
 def test_unchanged_recompiles_pass_the_checks(monkeypatch, fresh_worlds, trailnet, zeros_result):

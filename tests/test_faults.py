@@ -29,11 +29,12 @@ from repro.core.faults import (
 from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer
 from repro.core.transport import FaultyTransport, transport_pair
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.rpc import RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
 from repro.errors import ConfigError, PacketError, SyncError, TransportError, WatchdogError
 from repro.soc.firesim import FireSimHost
 from repro.soc.soc import CONFIG_A, Soc
+from tests.test_transport import recv_next
 
 
 def injector(*rules, scheduled=(), seed=0):
@@ -198,7 +199,7 @@ class TestTransportRobustness:
         wire[pk.HEADER_SIZE] ^= 0xFF
         a.send_wire(bytes(wire))
         a.send(pk.depth_response(2.0))  # a healthy frame right behind it
-        packet = b.recv_blocking(timeout=2.0)
+        packet = recv_next(b)
         assert packet.values == (2.0,)
         assert b.corrupt_packets == 1
 
@@ -221,7 +222,7 @@ class TestTransportRobustness:
             wire[0] ^= 0xFF  # destroy the magic: header-level corruption
             a.send_wire(bytes(wire))
             a.send(pk.depth_response(3.0))
-            packet = b.recv_blocking(timeout=2.0)
+            packet = recv_next(b)
             assert packet.values == (3.0,)
             assert b.corrupt_packets >= 1
         finally:
@@ -322,7 +323,7 @@ SYNC = SyncConfig(cycles_per_sync=10_000_000)
 
 def build_sync(program, faults=None, logger=None, sync=SYNC):
     env = EnvSimulator(EnvConfig(world="tunnel", frame_rate=sync.frame_rate_hz))
-    rpc = RpcClient(RpcServer(env))
+    rpc = RpcServer(env)
     soc = Soc(CONFIG_A)
     soc.load_program(program)
     sync_end, firesim_end = transport_pair("inprocess")

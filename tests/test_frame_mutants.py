@@ -1,17 +1,20 @@
 """Mutants of the serial physics frame that the exactness checks catch.
 
-The collision test's clearance floor and the allocation-free quadrotor
-step claim to produce the floats they replaced, bit for bit.  Each test
-below applies one mutant in-process, by recompiling one function from
-its source with a one-line change (no file is edited), and asserts that
-a named check fails:
+The collision test's clearance floor, the allocation-free quadrotor
+step and the car's call-free clamps claim to produce the floats they
+replaced, bit for bit.  Each test below applies one mutant in-process,
+by recompiling one function from its source with a one-line change (no
+file is edited), and asserts that a named check fails:
 
 * a clearance floor without the half cell diagonal fails the floor
   property test of ``tests/test_geometry_index.py`` on every world, and
   moves the ``sshape-collisions`` mission pin;
 * a recovery that obeys the incoming command instead of braking moves
   the ``sshape-collisions`` pin (``tests/test_mission_pins.py``), the one
-  pinned quadrotor mission that collides; no golden record collides.
+  pinned quadrotor mission that collides; no golden record collides;
+* a car step without its ``0.0`` speed floor lets the speed go negative:
+  it moves the ``car-sshape`` pin, the one pinned mission that flies the
+  car, and fails the ``np.clip`` comparison of ``tests/test_car.py``.
 
 Mutants no check catches, with the reason:
 
@@ -37,6 +40,7 @@ import pytest
 
 from repro.core.cosim import run_mission
 from repro.env import worlds
+from repro.env.car import CarDynamics
 from repro.env.geometry import _CellMemo
 from repro.env.physics import QuadrotorDynamics
 from repro.sweep import mission_signature
@@ -71,12 +75,20 @@ FLOOR_WITHOUT_HALF_DIAGONAL = (
     "self._floor_margin = slack",
 )
 RECOVERY_OBEYS_COMMAND = ("    if recovering:\n", "    if False:\n")
+SPEED_WITHOUT_FLOOR = ("u = 0.0 if 0.0 > u else u", "pass")
 
 
 def collision_pin_holds() -> bool:
     """Whether the ``sshape-collisions`` mission, flown on freshly built
     worlds, still matches its pinned signature."""
     config, signature = PINS["sshape-collisions"]
+    return mission_signature(run_mission(config)) == signature
+
+
+def car_pin_holds() -> bool:
+    """Whether the ``car-sshape`` mission still matches its pinned
+    signature."""
+    config, signature = PINS["car-sshape"]
     return mission_signature(run_mission(config)) == signature
 
 
@@ -88,13 +100,15 @@ def fresh_worlds(monkeypatch):
 
 def test_unchanged_recompiles_pass_the_checks(monkeypatch, fresh_worlds):
     """The recompiling itself changes nothing: the same source, swapped in
-    for both functions, keeps the pin and the floor property."""
+    for each function, keeps the pins and the floor property."""
     for owner, name, (old, _) in (
         (_CellMemo, "__init__", FLOOR_WITHOUT_HALF_DIAGONAL),
         (QuadrotorDynamics, "step", RECOVERY_OBEYS_COMMAND),
+        (CarDynamics, "step", SPEED_WITHOUT_FLOOR),
     ):
         monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, old))
     assert collision_pin_holds()
+    assert car_pin_holds()
     world = _build("zigzag-obstacles")
     assert_floor_answers_exactly(world, floor_check_points(world), 0.3)
 
@@ -121,3 +135,8 @@ def test_recovery_that_obeys_the_command_moves_the_collision_pin(monkeypatch):
         QuadrotorDynamics, "step", mutant(QuadrotorDynamics.step, *RECOVERY_OBEYS_COMMAND)
     )
     assert not collision_pin_holds()
+
+
+def test_speed_without_floor_moves_the_car_pin(monkeypatch):
+    monkeypatch.setattr(CarDynamics, "step", mutant(CarDynamics.step, *SPEED_WITHOUT_FLOOR))
+    assert not car_pin_holds()

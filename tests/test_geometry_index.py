@@ -32,19 +32,23 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import run_mission
 from repro.env import geometry, worlds
 from repro.env.geometry import Polyline, SegmentSoup, _CellMemo
-from repro.env.worlds import World, s_shape_world, tunnel_world
-from repro.scenario.generate import world_from_scenario
+from repro.env.worlds import World, make_world, s_shape_world, tunnel_world
+from repro.scenario.generate import compile_config
 from tests.test_geometry_pins import ZIGZAG
 
 WORLD_NAMES = ["tunnel", "s-shape", "zigzag-obstacles"]
 
 
 def _build(name: str) -> World:
+    """A freshly built world, never the process-wide cached one: a check
+    run under a mutant memo sees that memo, and the mutant memo cannot
+    leak into the cache."""
     if name == "tunnel":
         return tunnel_world()
     if name == "s-shape":
         return s_shape_world()
-    return world_from_scenario(ZIGZAG)
+    config = compile_config(ZIGZAG)
+    return make_world(config.world, **config.world_params)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import packets as pk
 from repro.core.packets import PacketType, decode_packet, encode_packet
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.rpc import RpcServer
 from repro.env.sensors import Lidar, LidarParams
 from repro.errors import PacketError
 
@@ -88,7 +88,6 @@ class TestLidarPackets:
 
 class TestLidarRpc:
     def test_get_lidar(self, env_sim):
-        client = RpcClient(RpcServer(env_sim))
-        scan = client.get_lidar()
-        assert scan["beams"] * 4 == len(scan["ranges"])
-        assert scan["fov_rad"] > 0
+        scan = RpcServer(env_sim).call("get_lidar")
+        assert scan.beams * 4 == len(scan.ranges.tobytes())
+        assert scan.fov_rad > 0

@@ -31,6 +31,7 @@ from repro.core.config import CoSimConfig
 from repro.core.cosim import CoSimulation, run_mission
 from repro.dnn.resnet import build_trainable_trailnet
 from repro.env import camera
+from repro.env.rpc import CameraFrame
 from repro.scenario.generate import compile_config
 from repro.sweep import mission_signature
 from tests.test_geometry_pins import ZIGZAG
@@ -139,17 +140,16 @@ CAMERA_PINS = {
 }
 
 
-def _first_frame(config, perception=None) -> dict:
+def _first_frame(config, perception=None) -> CameraFrame:
     cosim = CoSimulation(config, perception=perception)
-    cosim.rpc.takeoff()
-    return cosim.rpc.get_camera_image()
+    cosim.rpc.call("takeoff")
+    return cosim.rpc.call("get_camera_image")
 
 
 @pytest.mark.parametrize("world, seed", sorted(CAMERA_PINS))
 def test_camera_rpc_pixels_match_pin(world, seed, trailnet):
     # The frame a pixel reader is served; a non-reader gets zeros.
-    image = _first_frame(CoSimConfig(world=world, seed=seed), CnnPerception(trailnet))
-    pixels = image["pixels"]
+    pixels = _first_frame(CoSimConfig(world=world, seed=seed), CnnPerception(trailnet)).pixels
     assert len(pixels) == 32 * 48
     assert hashlib.sha256(pixels).hexdigest() == CAMERA_PINS[world, seed]
 
@@ -159,12 +159,10 @@ def test_non_reader_camera_rpc_serves_zero_frame(world, seed, trailnet):
     config = CoSimConfig(world=world, seed=seed)
     blank = _first_frame(config)
     read = _first_frame(config, CnnPerception(trailnet))
-    assert blank["pixels"] == bytes(32 * 48)
-    assert (blank["height"], blank["width"]) == (32, 48)
+    assert blank.pixels == bytes(32 * 48)
+    assert (blank.height, blank.width) == (32, 48)
     # Shape, timestamp and course metadata are the reader's.
-    assert {k: v for k, v in blank.items() if k != "pixels"} == {
-        k: v for k, v in read.items() if k != "pixels"
-    }
+    assert blank._replace(pixels=b"") == read._replace(pixels=b"")
 
 
 def test_behavioural_missions_never_rasterize(monkeypatch):

@@ -21,7 +21,16 @@ fails:
   sample (``RpcServer._continue_for_frames``) moves every golden record,
   12 of 12: each CSV row logs the sample the advance answers with;
 * a lockstep loop that ignores the goal flag (``Synchronizer.run``)
-  flies past the goal and moves the one golden record that reaches it.
+  flies past the goal and moves the one golden record that reaches it;
+* a camera answer with its heading error and lateral offset swapped
+  (``RpcServer.camera_frame``) moves every golden record whose
+  perception reads the camera packet's course metadata, 11 of 12;
+* a STATE_RESP with the body velocities ``u`` and ``v`` swapped
+  (``Synchronizer._dispatch_rtl_packet``) fails only the payload test of
+  ``tests/test_synchronizer.py``, which checks every field of each
+  sensor response against the simulator's reading.  No target program
+  reads STATE_RESP's ``u``, ``v`` or ``r`` (nor IMU_RESP's
+  accelerations), so every golden record keeps its bits under it.
 
 Mutants no check catches, with the reason:
 
@@ -48,6 +57,7 @@ from repro.soc.soc import CONFIG_A, CONFIG_B, Soc
 from repro.verify.golden import check_corpus
 from tests.test_frame_mutants import mutant
 from tests.test_soc_wait import WINDOW, assert_same, depth, engine, fly, fly_all, mixed_ops
+from tests.test_synchronizer import assert_responses_carry_the_readings
 
 DROP_DONE_CHARGE = ("link.peer.charge(_DONE_FRAME)", "pass")
 FETCH_WHILE_ASLEEP = (
@@ -56,6 +66,8 @@ FETCH_WHILE_ASLEEP = (
 )
 PREVIOUS_SAMPLE = ("sim.trajectory[-1]", "sim.trajectory[-2]")
 IGNORE_GOAL = ("if self.mission_complete:", "if False:")
+SWAPPED_METADATA = ("heading_error,\n        d,", "d,\n        heading_error,")
+SWAPPED_VELOCITIES = ("st.u, st.v", "st.v, st.u")
 
 #: (owner, method, mutation) of each source mutant above.
 MUTANTS = {
@@ -63,6 +75,8 @@ MUTANTS = {
     "fetch-while-asleep": (Soc, "_schedule_core", FETCH_WHILE_ASLEEP),
     "previous-sample": (RpcServer, "_continue_for_frames", PREVIOUS_SAMPLE),
     "ignore-goal": (Synchronizer, "run", IGNORE_GOAL),
+    "swapped-metadata": (RpcServer, "camera_frame", SWAPPED_METADATA),
+    "swapped-velocities": (Synchronizer, "_dispatch_rtl_packet", SWAPPED_VELOCITIES),
 }
 
 #: A golden record flown over the by-call path whose op stream has both
@@ -89,12 +103,14 @@ def apply(monkeypatch, name: str) -> None:
 
 def test_unchanged_recompiles_pass_the_checks(monkeypatch):
     """Recompiling changes nothing: each method's own source, swapped in,
-    keeps the golden record and the per-window comparison."""
+    keeps the golden records, the per-window comparison and the sensor
+    payload test."""
     for owner, method, (old, _) in MUTANTS.values():
         monkeypatch.setattr(owner, method, mutant(getattr(owner, method), old, old))
     assert statuses(only=RECORD) == {RECORD: "ok"}
     assert statuses(only=GOAL_RECORD) == {GOAL_RECORD: "ok"}
     assert_same(fly_all(mixed_ops, WINDOWS, CONFIG_B))
+    assert_responses_carry_the_readings(monkeypatch)
 
 
 def test_dropped_done_charge_moves_the_by_call_records(monkeypatch):
@@ -137,3 +153,16 @@ def test_previous_frame_sample_moves_every_record(monkeypatch):
 def test_ignored_goal_moves_the_goal_record(monkeypatch):
     apply(monkeypatch, "ignore-goal")
     assert statuses(only=GOAL_RECORD) == {GOAL_RECORD: "drift"}
+
+
+def test_swapped_camera_metadata_moves_the_metadata_readers(monkeypatch):
+    apply(monkeypatch, "swapped-metadata")
+    kept = [name for name, status in statuses().items() if status == "ok"]
+    assert kept == ["tunnel-mpc-socA"]
+
+
+def test_swapped_state_velocities_fail_only_the_payload_test(monkeypatch):
+    apply(monkeypatch, "swapped-velocities")
+    with pytest.raises(AssertionError, match="STATE_RESP"):
+        assert_responses_carry_the_readings(monkeypatch)
+    assert set(statuses().values()) == {"ok"}

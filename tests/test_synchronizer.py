@@ -23,7 +23,8 @@ from repro.core.packets import PacketType
 from repro.core.synchronizer import Synchronizer
 from repro.core.timing import StageTimer
 from repro.core.transport import FaultyTransport, transport_pair
-from repro.env.rpc import RpcClient, RpcServer
+from repro.env.camera import encode_image_u8
+from repro.env.rpc import RpcServer
 from repro.env.simulator import EnvConfig, EnvSimulator
 from repro.errors import SyncError, WatchdogError
 from repro.soc import firesim as firesim_module
@@ -37,7 +38,7 @@ SYNC = SyncConfig(cycles_per_sync=10_000_000)
 
 def build(program, logger=None, env_config=None):
     env = EnvSimulator(env_config or EnvConfig(world="tunnel", frame_rate=SYNC.frame_rate_hz))
-    rpc = RpcClient(RpcServer(env))
+    rpc = RpcServer(env)
     soc = Soc(CONFIG_A)
     soc.load_program(program)
     sync_end, firesim_end = transport_pair("inprocess")
@@ -194,6 +195,103 @@ class TestDataTranslation:
         assert latencies[0] >= SYNC.cycles_per_sync * 0.9
 
 
+#: One request of each sensor type, in the order the program sends them.
+SENSOR_REQUESTS = (
+    pk.imu_request(),
+    pk.camera_request(),
+    pk.depth_request(),
+    pk.lidar_request(),
+    pk.state_request(),
+)
+#: The simulator's reading methods whose answers the responses carry.
+READINGS = ("get_imu", "get_camera_image", "get_depth", "get_lidar", "get_state")
+
+
+def assert_responses_carry_the_readings(monkeypatch):
+    """Serve one request of each sensor type to a flying drone and check
+    every field of each transmitted response, in ``_PAYLOAD_FORMATS``
+    order, against what the simulator returned.
+
+    The readings are recorded by wrapping the simulator's methods, not
+    read a second time: the IMU, camera, depth and lidar reads draw
+    noise.  The drone flies forward, sideways and turning, so no two of
+    the state's velocities are equal."""
+    answers = {}
+
+    def record(name):
+        method = getattr(EnvSimulator, name)
+
+        def recorded(self, *args):
+            answers[name] = answer = method(self, *args)
+            return answer
+
+        monkeypatch.setattr(EnvSimulator, name, recorded)
+
+    for name in READINGS:
+        record(name)
+
+    def program(rt):
+        yield from rt.send_packet(pk.target_command(3.0, 0.6, 0.3, 1.5))
+        yield from rt.delay(5 * SYNC.cycles_per_sync)
+        for request in SENSOR_REQUESTS:
+            yield from rt.send_packet(request)
+        while True:
+            yield from rt.delay(100_000)
+
+    env, _, sync = build(program)
+    sync.configure()
+    sync.rpc.call("takeoff")
+    while len(sync._pending_rtl) < len(SENSOR_REQUESTS):
+        sync.step()
+    assert [p.ptype for p in sync._pending_rtl] == [r.ptype for r in SENSOR_REQUESTS]
+    sync.dispatch_pending()
+    responses = {p.ptype: p for p in sync.host.transport.drain()}
+    assert sorted(answers) == sorted(READINGS)
+
+    imu, image = answers["get_imu"], answers["get_camera_image"]
+    depth, scan, state = answers["get_depth"], answers["get_lidar"], answers["get_state"]
+    assert len({state.u, state.v, state.r}) == 3
+    # Nothing has advanced since the requests were served, so the pose's
+    # course metadata and the clocks read now are the served ones.
+    _s, d, heading_error = env.course_state()
+    camera = env.camera.params
+    expected = {
+        # ax, ay, az, gyro_z, timestamp
+        PacketType.IMU_RESP: (
+            (imu.accel_x, imu.accel_y, imu.accel_z, imu.gyro_z, imu.timestamp),
+            b"",
+        ),
+        # height, width, timestamp, heading_err, lat_off, half_width + pixels
+        PacketType.CAMERA_RESP: (
+            (camera.height, camera.width, env.sim_time, heading_error, d,
+             env.world.half_width),
+            encode_image_u8(image),
+        ),
+        PacketType.DEPTH_RESP: ((depth,), b""),
+        # x, y, z, yaw, u, v, r, timestamp
+        PacketType.STATE_RESP: (
+            (state.x, state.y, state.z, state.yaw, state.u, state.v, state.r,
+             sync.sim_time),
+            b"",
+        ),
+        # beam count, fov_rad, timestamp + float32 ranges
+        PacketType.LIDAR_RESP: (
+            (scan.beams, scan.fov_rad, scan.timestamp),
+            scan.ranges.astype("<f4").tobytes(),
+        ),
+    }
+    assert sorted(responses) == sorted(expected)
+    for ptype, (values, raw) in expected.items():
+        packet = responses[ptype]
+        assert len(packet.values) == pk._PAYLOAD_SIZES[ptype][1], ptype.name
+        assert [repr(v) for v in packet.values] == [repr(v) for v in values], ptype.name
+        assert packet.raw == raw, ptype.name
+
+
+def test_sensor_responses_carry_the_simulator_readings(monkeypatch):
+    assert_responses_carry_the_readings(monkeypatch)
+
+
 class TestLogging:
     def test_logger_rows_per_step(self):
         logger = SyncLogger()
@@ -226,8 +324,7 @@ class TestRpcBudget:
     @staticmethod
     def build_recorded(program):
         env, _, sync = build(program, logger=SyncLogger())
-        recorder = RecordingServer(RpcServer(env))
-        sync.rpc = RpcClient(recorder)
+        recorder = sync.rpc = RecordingServer(RpcServer(env))
         sync.configure()
         return recorder, sync
 
@@ -291,8 +388,7 @@ class TestRpcBudget:
     def fly_recorded(config):
         """Fly ``config`` with its RPC calls recorded."""
         cosim = CoSimulation(config)
-        recorder = RecordingServer(cosim._rpc_server)
-        cosim.rpc = cosim.synchronizer.rpc = RpcClient(recorder)
+        recorder = cosim.rpc = cosim.synchronizer.rpc = RecordingServer(cosim.rpc)
         return cosim, cosim.run(), recorder
 
     def test_mission_rpc_count(self):
@@ -320,7 +416,7 @@ class TestRpcBudget:
             config = CoSimConfig(world="tunnel", max_sim_time=1.0, **fields)
             cosim, _, recorder = self.fly_recorded(config)
             called.update(recorder.methods)
-        assert called == set(cosim._rpc_server.methods)
+        assert called == set(cosim.rpc.server.methods)
 
 
 def fly_checking_records(config, monkeypatch):
@@ -513,7 +609,7 @@ class TestGrantDelivery:
         )
         host = FireSimHost(soc, firesim_end)
         sync = Synchronizer(
-            rpc=RpcClient(RpcServer(env)),
+            rpc=RpcServer(env),
             transport=sync_end,
             sync=SYNC,
             host=host,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.batch import run_batch
@@ -17,6 +19,18 @@ from tests.test_mission_pins import PINS
 from tests.test_packets import CONSTRUCTORS, INPUT_KINDS, assert_same_packet
 
 
+def recv_next(end, polls: int = 10_000) -> DataPacket:
+    """Poll ``end`` until a packet arrives.  TCP bytes land after ``send``
+    returns, so a test waits for them; ``polls`` half-millisecond sleeps
+    bound the wait at about 5 s."""
+    for _ in range(polls):
+        packet = end.recv()
+        if packet is not None:
+            return packet
+        time.sleep(0.0005)
+    raise AssertionError(f"no packet after {polls} polls")
+
+
 @pytest.fixture(params=["inprocess", "tcp"])
 def pair(request):
     a, b = transport_pair(request.param)
@@ -29,7 +43,7 @@ class TestBothTransports:
     def test_send_recv(self, pair):
         a, b = pair
         a.send(pk.depth_request())
-        packet = b.recv_blocking(timeout=2.0)
+        packet = recv_next(b)
         assert packet.ptype == PacketType.DEPTH_REQ
 
     def test_recv_empty_returns_none(self, pair):
@@ -40,8 +54,8 @@ class TestBothTransports:
         a, b = pair
         a.send(pk.camera_request())
         b.send(pk.depth_response(3.0))
-        assert b.recv_blocking().ptype == PacketType.CAMERA_REQ
-        assert a.recv_blocking().ptype == PacketType.DEPTH_RESP
+        assert recv_next(b).ptype == PacketType.CAMERA_REQ
+        assert recv_next(a).ptype == PacketType.DEPTH_RESP
 
     def test_ordering_preserved(self, pair):
         a, b = pair
@@ -49,7 +63,7 @@ class TestBothTransports:
             a.send(pk.sync_grant(i))
         received = []
         while len(received) < 20:
-            packet = b.recv_blocking()
+            packet = recv_next(b)
             received.append(packet.values[0])
         assert received == list(range(20))
 
@@ -57,7 +71,7 @@ class TestBothTransports:
         a, b = pair
         pixels = bytes(i % 256 for i in range(64 * 48))
         a.send(pk.camera_response(64, 48, 0.5, 0.0, 0.0, 1.6, pixels))
-        packet = b.recv_blocking(timeout=5.0)
+        packet = recv_next(b)
         assert packet.raw == pixels
 
     def test_drain_collects_all(self, pair):
@@ -73,15 +87,10 @@ class TestBothTransports:
     def test_counters(self, pair):
         a, b = pair
         a.send(pk.depth_request())
-        b.recv_blocking()
+        recv_next(b)
         assert a.packets_sent == 1
         assert a.bytes_sent > 0
         assert b.bytes_received > 0
-
-    def test_recv_blocking_timeout(self, pair):
-        _, b = pair
-        with pytest.raises(TransportError):
-            b.recv_blocking(timeout=0.05)
 
 
 class TestInProcessSpecific:
@@ -192,12 +201,10 @@ class TestTcpSpecific:
             # Send the frame in two raw halves.
             a._sock.setblocking(True)
             a._sock.sendall(wire[: len(wire) // 2])
-            import time
-
             time.sleep(0.05)
             assert b.recv() is None
             a._sock.sendall(wire[len(wire) // 2 :])
-            packet = b.recv_blocking(timeout=2.0)
+            packet = recv_next(b)
             assert packet.values == (7.0,)
         finally:
             a.close()
@@ -211,7 +218,7 @@ class TestTcpSpecific:
                 a.send(pk.sync_grant(i))
             got = []
             while len(got) < 10:
-                got.append(b.recv_blocking(timeout=2.0).values[0])
+                got.append(recv_next(b).values[0])
             assert got == list(range(10))
         finally:
             a.close()
